@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("test", help="run a tester")
     s.add_argument("tester", choices=["pt", "cc", "trace"])
     s.add_argument("--trace", default="-", help="input file, or - for stdin")
-    s.add_argument("--n", type=int, default=0)
+    s.add_argument("--n", type=int, default=None, help="domain half-size (pt and cc)")
     s.add_argument("--eps", type=float, required=True)
     s.add_argument("--m", type=float, default=None)
     s.add_argument("--eta", type=float, default=0.5)
@@ -231,6 +231,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "test" and args.tester in ("pt", "cc") and args.n is None:
+            parser.error(f"test {args.tester} requires --n")
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:

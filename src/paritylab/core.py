@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -109,34 +110,56 @@ class SampleMultiset:
 
 @dataclass(frozen=True)
 class RunLengthTrace:
-    """A parity trace together with its circular run-length vectors."""
+    """Circular run-length vectors of a parity trace, and the trace length.
 
-    bits: str
+    `source` is what the trace was reduced from: the trace string itself
+    (`circular_runs`) or the multiplicity vector of the sample
+    (`runs_from_counts`), held without a copy.  `length` is the number of
+    symbols, Σ one_runs + Σ zero_runs, checked against the source on
+    construction.  The testers read only the runs and the length; `bits`
+    returns the trace string, built from the counts on first read.
+    """
+
     one_runs: np.ndarray
     zero_runs: np.ndarray
+    source: str | np.ndarray = field(repr=False)
+    length: int = field(init=False)
 
     def __post_init__(self):
-        if int(self.one_runs.sum() + self.zero_runs.sum()) != len(self.bits):
+        if isinstance(self.source, str):
+            length = len(self.source)
+        else:
+            length = int(self.source.sum())
+        if int(self.one_runs.sum() + self.zero_runs.sum()) != length:
             raise ValueError("run lengths do not add up to the trace length")
+        object.__setattr__(self, "length", length)
+
+    @cached_property
+    def bits(self) -> str:
+        if isinstance(self.source, str):
+            return self.source
+        return parity_trace(SampleMultiset(self.source))
 
 
 def parity_trace(sample: SampleMultiset) -> str:
     """Low bits of the sample listed in sorted element order."""
     counts = sample.counts
-    # element j+1 is odd exactly when j is even
-    parts = []
-    for j in range(counts.size):
-        c = counts[j]
-        if c:
-            parts.append(("1" if j % 2 == 0 else "0") * int(c))
-    return "".join(parts)
+    # element j+1 is odd, and shows a 1, exactly when j is even
+    symbols = np.frombuffer(b"10" * ((counts.size + 1) // 2), dtype=np.uint8)
+    return np.repeat(symbols[: counts.size], counts).tobytes().decode("ascii")
 
 
 def linear_runs(trace: str) -> tuple[np.ndarray, np.ndarray]:
-    """(values, lengths) of the maximal constant runs of `trace`, left to right."""
+    """(values, lengths) of the maximal constant runs of `trace`, left to right.
+
+    This is the one place traces are parsed: any character other than 0
+    and 1 raises ValueError.
+    """
     if not trace:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     bits = np.frombuffer(trace.encode("ascii"), dtype=np.uint8) - ord("0")
+    if bits.max() > 1:  # uint8 wraps, so characters below "0" land here too
+        raise ValueError("a trace may contain only the characters 0 and 1")
     edges = np.flatnonzero(np.diff(bits)) + 1
     starts = np.concatenate(([0], edges))
     ends = np.concatenate((edges, [bits.size]))
@@ -156,9 +179,9 @@ def circular_runs(trace: str) -> RunLengthTrace:
         lengths[0] += lengths[-1]
         values, lengths = values[:-1], lengths[:-1]
     return RunLengthTrace(
-        bits=trace,
         one_runs=lengths[values == 1],
         zero_runs=lengths[values == 0],
+        source=trace,
     )
 
 
@@ -166,15 +189,15 @@ def runs_from_counts(counts: np.ndarray) -> RunLengthTrace:
     """Circular runs straight from a multiplicity vector, skipping the string.
 
     Equivalent to ``circular_runs(parity_trace(SampleMultiset(counts)))`` but
-    O(domain) regardless of the sample size.
+    O(domain) regardless of the sample size: the record keeps `counts` as its
+    source and builds the trace string only if `bits` is read.
     """
     counts = np.asarray(counts, dtype=np.int64)
     a = counts[0::2]  # odd elements -> 1 symbols
     b = counts[1::2]  # even elements -> 0 symbols
     one_runs = _circular_group_sums(a, b == 0)
     zero_runs = _circular_group_sums(b, np.roll(a, -1) == 0)
-    bits = parity_trace(SampleMultiset(counts))
-    return RunLengthTrace(bits=bits, one_runs=one_runs, zero_runs=zero_runs)
+    return RunLengthTrace(one_runs=one_runs, zero_runs=zero_runs, source=counts)
 
 
 def _circular_group_sums(values: np.ndarray, join_next: np.ndarray) -> np.ndarray:

@@ -130,11 +130,16 @@ def test_uniformity_pt_large(trace, n: int, epsilon: float,
     gamma/sqrt(m); reject when any run reaches alpha*log(n); reject when
     the collision statistic Y exceeds (m/4n^2) * sum(phi_mu) plus
     beta*eps^2*m^2/n^2.  Accepts only if all six checks pass.
+
+    `m` defaults to the trace length; a sample size that is not positive
+    (an empty trace, for instance) raises ValueError.
     """
     config = config or PTTesterConfig()
     runs = _as_runs(trace)
     if m is None:
-        m = float(len(runs.bits))
+        m = float(runs.length)
+    if not m > 0:
+        raise ValueError(f"the large-eps tester needs a positive sample size, got m={m}")
     params = {"alpha": config.alpha, "beta": config.beta, "gamma": config.gamma,
               "epsilon": epsilon, "n": n, "m": m, "branch": "large_eps"}
     threshold_y = (m / (4 * n**2)) * phi_mu_sum(n, m) + config.beta * epsilon**2 * m**2 / n**2

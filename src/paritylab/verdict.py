@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 __all__ = ["Verdict"]
@@ -27,18 +28,23 @@ class Verdict:
             raise ValueError("fired_step must be 'none' iff the verdict accepts")
 
     def to_json(self) -> str:
+        """Strict JSON: NaN and +-inf values of statistics and params become null."""
         return json.dumps(
             {
                 "accept": self.accept,
                 "step": self.fired_step,
                 "statistics": {k: _plain(v) for k, v in self.statistics.items()},
                 "params": {k: _plain(v) for k, v in self.params.items()},
-            }
+            },
+            allow_nan=False,
         )
 
 
 def _plain(v):
     try:
-        return v.item()
+        v = v.item()
     except AttributeError:
-        return v
+        pass
+    if isinstance(v, float) and not math.isfinite(v):
+        return None
+    return v

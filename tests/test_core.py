@@ -42,6 +42,30 @@ def test_parity_trace_length_is_total():
         assert len(parity_trace(c)) == c.total
 
 
+def parity_trace_loop(counts) -> str:
+    """Reference: one run of symbols per element, in element order."""
+    parts = []
+    for j, c in enumerate(counts):
+        parts.append(("1" if j % 2 == 0 else "0") * int(c))
+    return "".join(parts)
+
+
+def test_parity_trace_matches_loop_reference():
+    rng = np.random.default_rng(2)
+    cases = [np.zeros(0, dtype=np.int64), np.zeros(6, dtype=np.int64)]
+    for _ in range(200):
+        size = int(rng.integers(1, 12))
+        c = rng.integers(0, 5, size=size) * (rng.random(size) < 0.6)
+        cases.append(c)
+        even_only = c.copy()
+        even_only[0::2] = 0  # only even elements: an all-0s trace
+        odd_only = c.copy()
+        odd_only[1::2] = 0  # only odd elements: an all-1s trace
+        cases += [even_only, odd_only]
+    for c in cases:
+        assert parity_trace(SampleMultiset(c)) == parity_trace_loop(c)
+
+
 @pytest.mark.parametrize(
     "trace,ones,zeros",
     [
@@ -105,6 +129,19 @@ def test_runs_from_counts_matches_string_path():
         direct = runs_from_counts(counts)
         assert sorted(via_string.one_runs) == sorted(direct.one_runs)
         assert sorted(via_string.zero_runs) == sorted(direct.zero_runs)
+        assert direct.length == via_string.length == int(counts.sum())
+        assert direct.bits == parity_trace(SampleMultiset(counts))
+
+
+def test_pt_large_default_m_same_on_counts_and_string():
+    from paritylab.parity import test_uniformity_pt_large as pt_large
+
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        counts = rng.integers(0, 4, size=32)
+        bits = parity_trace(SampleMultiset(counts))
+        assert (pt_large(runs_from_counts(counts), 16, 0.4).to_json()
+                == pt_large(bits, 16, 0.4).to_json())
 
 
 def test_partial_distribution_validation():

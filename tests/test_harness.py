@@ -129,6 +129,22 @@ def test_uniform_bias_step_error_rate():
     assert fired / 4000 <= 1 / 100 + 0.006
 
 
+def test_pt_large_trial_never_builds_the_trace(monkeypatch):
+    import paritylab.core
+    from paritylab.core import runs_from_counts
+    from paritylab.harness import run_pt_large_trial
+
+    def no_trace(sample):
+        raise RuntimeError("the trace string was built")
+
+    monkeypatch.setattr(paritylab.core, "parity_trace", no_trace)
+    with pytest.raises(RuntimeError):  # the patch reaches RunLengthTrace.bits
+        runs_from_counts(np.ones(8, dtype=np.int64)).bits
+    for instance in ("uniform", "paired_far"):
+        v = run_pt_large_trial({"n": 64, "epsilon": 0.5, "instance": instance}, 3)
+        assert v.params["m"] > 0
+
+
 def test_calibration_trivial_regime():
     out = calibrate_constants(
         "pt_large", 16, 1.9, target_error=0.2, trials=30, seed=5,
@@ -206,6 +222,24 @@ def test_cli_instance_and_errors(tmp_path):
     assert out.returncode == 2  # odd n violates the generator precondition
     out = run_cli("nonsense")
     assert out.returncode == 1
+
+
+def test_cli_pt_large_empty_trace_exits_2(tmp_path):
+    tfile = tmp_path / "empty.txt"
+    tfile.write_text("")
+    out = run_cli("test", "pt", "--trace", str(tfile), "--n", "16", "--eps", "0.3",
+                  "--mode", "large_eps")
+    assert out.returncode == 2
+    assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("tester,payload", [("pt", "1010"), ("cc", "[1, 2, 3]")])
+def test_cli_missing_n_is_usage_error(tmp_path, tester, payload):
+    tfile = tmp_path / "in.txt"
+    tfile.write_text(payload)
+    out = run_cli("test", tester, "--trace", str(tfile), "--eps", "0.3")
+    assert out.returncode == 1
+    assert "--n" in out.stderr
 
 
 def test_cli_phi_csv():

@@ -111,6 +111,20 @@ def test_pt_small_coverage_rejection():
     assert not v.accept and v.fired_step == "coverage"
 
 
+def test_pt_small_rejects_non_binary_trace():
+    with pytest.raises(ValueError):
+        pt_small("1020", 2, 0.3)
+
+
+def test_pt_large_rejects_empty_trace_and_nonpositive_m():
+    with pytest.raises(ValueError):
+        pt_large("", 16, 0.3)
+    with pytest.raises(ValueError):
+        pt_large(runs_from_counts(np.zeros(32, dtype=np.int64)), 16, 0.3)
+    with pytest.raises(ValueError):
+        pt_large("1010", 16, 0.3, m=0.0)
+
+
 def test_pt_small_forwarding_to_histogram():
     n = 4
     trace = "10" * n  # every element exactly once: zero collisions

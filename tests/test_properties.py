@@ -1,13 +1,28 @@
 """Hypothesis properties for the string machinery."""
 
+import json
+import math
+
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paritylab.core import circular_runs
-from paritylab.editdist import psi, psi_inv, rel_edit_distance, string_edit_distance
+from paritylab.editdist import (
+    BlockString,
+    psi,
+    psi_inv,
+    rel_edit_distance,
+    string_edit_distance,
+)
+from paritylab.parity import test_uniformity_pt_small as pt_small
 from paritylab.verdict import Verdict
 
 bitstrings = st.text(alphabet="01", min_size=0, max_size=64)
+non_binary = st.tuples(
+    bitstrings, st.characters().filter(lambda ch: ch not in "01"), bitstrings
+).map("".join)
 
 
 @given(bitstrings)
@@ -20,6 +35,18 @@ def test_circular_runs_rotation_invariant(bits):
         r = circular_runs(rot)
         assert sorted(r.one_runs) == sorted(r0.one_runs)
         assert sorted(r.zero_runs) == sorted(r0.zero_runs)
+
+
+@given(non_binary)
+@settings(max_examples=300, deadline=None)
+def test_non_binary_traces_rejected_everywhere(text):
+    # every string entry point parses through linear_runs
+    with pytest.raises(ValueError):
+        circular_runs(text)
+    with pytest.raises(ValueError):
+        pt_small(text, 2, 0.3)
+    with pytest.raises(ValueError):
+        BlockString(text).runs()
 
 
 @given(bitstrings.filter(len), st.integers(0, 63))
@@ -54,6 +81,20 @@ def test_verdict_consistency_invariant(accept, step):
             pass
         else:
             raise AssertionError("inconsistent verdict was accepted")
+
+
+def _no_constants(name):
+    raise AssertionError(f"non-strict JSON constant {name}")
+
+
+def test_verdict_json_is_strict():
+    stats = {"x": float("nan"), "hi": math.inf, "lo": -math.inf,
+             "np": np.float64("nan"), "ok": np.float64(1.5), "k": np.int64(3)}
+    v = Verdict(True, "none", stats, {"beta": float("inf"), "branch": "large_eps"})
+    obj = json.loads(v.to_json(), parse_constant=_no_constants)
+    assert obj["statistics"] == {"x": None, "hi": None, "lo": None,
+                                 "np": None, "ok": 1.5, "k": 3}
+    assert obj["params"] == {"beta": None, "branch": "large_eps"}
 
 
 def test_benchmark_smoke(capsys):
