@@ -1,10 +1,13 @@
-"""Hot numeric kernels with numba and pure-numpy twins.
+"""Hot numeric kernels.
 
 The Monte Carlo loops (bucket statistics over random subgraphs), the edit
 distance DP, the alternating-labeling DP, and the circular-interval scan
-dominate the runtime of the test suites.  Each of them is implemented
-twice: a plain numpy version, and a numba ``@njit`` version compiled from
-the same logic.  The active path is chosen at import time:
+dominate the runtime of the test suites.
+
+The edit distance has one implementation: a bit-parallel DP over Python
+ints, with no numba or numpy variant.  The other kernels are implemented
+twice, a plain numpy version and a numba ``@njit`` version compiled from
+the same logic, and their active path is chosen at import time:
 
 * ``PARITYLAB_NO_NUMBA=1`` in the environment forces the numpy path;
 * otherwise numba is used when importable.
@@ -150,75 +153,42 @@ def _make_bucket_kernels_nb():
 # unit-cost edit distance (insert / delete / substitute)
 # ---------------------------------------------------------------------------
 
-def _levenshtein_np(a: np.ndarray, b: np.ndarray) -> int:
-    """Full O(NM) row DP, vectorized along rows."""
-    n, m = len(a), len(b)
-    if n == 0:
-        return m
-    if m == 0:
-        return n
-    if m > n:  # iterate over the longer string
+def levenshtein(a: np.ndarray, b: np.ndarray) -> int:
+    """Unit-cost edit distance between two 0/1 arrays, bit-parallel.
+
+    Myers' recurrence (J. ACM 46(3), 1999) in Hyyro's global-distance form
+    (2003).  The shorter string is the pattern of m bits; one Python int
+    holds a whole DP column as the +1 (`pv`) and -1 (`mv`) vertical deltas,
+    and each character of the longer string advances the column with a
+    dozen big-int operations.  `score` follows the bottom cell.  Only bits
+    below m matter and nothing carries downward, so spare high bits in `xh`
+    and `ph` are harmless; `pv` is masked to m bits to keep the ints short,
+    and `mv` stays inside `xv`.  Plain ``full ^ x`` stands in for ``~x``
+    because negative ints are slow.
+    """
+    a = np.asarray(a, dtype=np.uint8)
+    b = np.asarray(b, dtype=np.uint8)
+    if a.size < b.size:
         a, b = b, a
-        n, m = m, n
-    idx = np.arange(1, m + 1, dtype=np.int64)
-    prev = np.arange(m + 1, dtype=np.int64)
-    for i in range(1, n + 1):
-        sub = prev[:-1] + (a[i - 1] != b)
-        cur1 = np.minimum(sub, prev[1:] + 1)
-        # resolve the left-to-right insertion dependency:
-        # cur[j] = min(cur1[j], min_{k<j} cur[k] + (j-k))
-        g = np.minimum.accumulate(np.concatenate(([np.int64(i)], cur1 - idx)))
-        prev = np.concatenate(([np.int64(i)], g[1:] + idx))
-    return int(prev[-1])
-
-
-def _make_levenshtein_nb():
-    @njit(cache=True)
-    def _lev_band(a, b, t):  # pragma: no cover - compiled
-        n, m = len(a), len(b)
-        prev = np.full(m + 1, _INF, dtype=np.int64)
-        cur = np.full(m + 1, _INF, dtype=np.int64)
-        hi0 = min(m, t)
-        for j in range(hi0 + 1):
-            prev[j] = j
-        for i in range(1, n + 1):
-            lo = max(1, i - t)
-            hi = min(m, i + t)
-            if lo > hi:
-                return _INF
-            cur[lo - 1] = i if lo == 1 else _INF
-            for j in range(lo, hi + 1):
-                best = prev[j] + 1
-                left = cur[j - 1] + 1
-                if left < best:
-                    best = left
-                diag = prev[j - 1] + (1 if a[i - 1] != b[j - 1] else 0)
-                if diag < best:
-                    best = diag
-                cur[j] = best
-            if hi < m:
-                cur[hi + 1] = _INF
-            prev, cur = cur, prev
-        return prev[m]
-
-    @njit(cache=True)
-    def _levenshtein_nb(a, b):  # pragma: no cover - compiled
-        n, m = len(a), len(b)
-        if n == 0:
-            return m
-        if m == 0:
-            return n
-        t = max(abs(n - m), 1)
-        while True:
-            if t >= max(n, m):
-                return _lev_band(a, b, max(n, m))
-            d = _lev_band(a, b, t)
-            if d <= t:
-                return int(d)
-            t *= 2
-
-    return _levenshtein_nb
-
+    m = b.size
+    if m == 0:
+        return int(a.size)
+    one = int.from_bytes(np.packbits(b, bitorder="little").tobytes(), "little")
+    full = (1 << m) - 1
+    peq = (full ^ one, one)  # pattern positions holding 0, holding 1
+    top = m - 1
+    pv, mv, score = full, 0, m
+    for c in a.tobytes():
+        eq = peq[c]
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (full ^ (xh | pv))
+        mh = pv & xh
+        score += (ph >> top & 1) - (mh >> top & 1)
+        ph = (ph << 1) | 1  # global distance: the top row grows by one per column
+        pv = ((mh << 1) | (full ^ (xv | ph))) & full
+        mv = ph & xv
+    return score
 
 # ---------------------------------------------------------------------------
 # best <= k-alternating labeling of a bit sequence (min disagreements)
@@ -347,13 +317,11 @@ def _make_interval_scan_nb():
 
 if USE_NUMBA:
     _bucket_labels_active, _bucket_moments_active = _make_bucket_kernels_nb()
-    _levenshtein_active = _make_levenshtein_nb()
     _alternating_fit_active = _make_alternating_fit_nb()
     _interval_scan_active = _make_interval_scan_nb()
 else:
     _bucket_labels_active = _bucket_labels_np
     _bucket_moments_active = _bucket_moments_np
-    _levenshtein_active = _levenshtein_np
     _alternating_fit_active = _alternating_fit_tables_np
     _interval_scan_active = _interval_scan_np
 
@@ -367,12 +335,6 @@ def bucket_moments(values: np.ndarray, keep: np.ndarray, cycle: bool) -> np.ndar
     values = np.ascontiguousarray(values, dtype=np.float64)
     keep = np.ascontiguousarray(keep, dtype=np.bool_)
     return _bucket_moments_active(values, keep, cycle)
-
-
-def levenshtein(a: np.ndarray, b: np.ndarray) -> int:
-    a = np.ascontiguousarray(a, dtype=np.uint8)
-    b = np.ascontiguousarray(b, dtype=np.uint8)
-    return int(_levenshtein_active(a, b))
 
 
 def alternating_fit_tables(bits: np.ndarray, k: int):
@@ -389,7 +351,7 @@ def interval_scan(p: np.ndarray, q: np.ndarray, t: float, cycle: bool):
 IMPLEMENTATIONS = {
     "bucket_labels": (_bucket_labels_np, _bucket_labels_active if USE_NUMBA else None),
     "bucket_moments": (_bucket_moments_np, _bucket_moments_active if USE_NUMBA else None),
-    "levenshtein": (_levenshtein_np, _levenshtein_active if USE_NUMBA else None),
+    "levenshtein": (levenshtein, None),
     "alternating_fit_tables": (
         _alternating_fit_tables_np,
         _alternating_fit_active if USE_NUMBA else None,

@@ -2,7 +2,8 @@
 
 Run as ``python -m paritylab.benchmarks`` or ``paritylab bench``.  When
 numba is disabled (PARITYLAB_NO_NUMBA=1) only the numpy path exists and
-the comparison is skipped.
+the comparison is skipped.  The edit distance has one implementation,
+so its row always shows a single time.
 """
 
 from __future__ import annotations

@@ -73,6 +73,8 @@ def _cmd_test(args) -> int:
             rho=args.rho, property_name=args.property,
         )
         lines = [ln for ln in _read_text(args.trace).splitlines() if ln]
+        if not lines:
+            raise ValueError(f"no trace in {args.trace}")
         if args.property == "n_block":
             verdict = test_n_block(lines[0], spec, seed=args.seed)
         elif len(lines) > 1:

@@ -300,6 +300,9 @@ def test_uniformity_cc(x_counts, config: CCTesterConfig, n: int, m: float,
         )
     x = np.asarray(x_counts, dtype=np.float64)
     max_x = float(x.max(initial=0.0))
+    # max and min propagate NaN, so these two reductions catch NaN, +-inf and negatives
+    if not (math.isfinite(max_x) and x.min(initial=0.0) >= 0):
+        raise ValueError("bucket counts must be finite and non-negative")
     stats = {"max_count": max_x, "m": m, "n": n}
     params = {"alpha": config.alpha, "beta": config.beta, "epsilon": config.epsilon,
               "eta": config.eta, "graph": graph.kind}

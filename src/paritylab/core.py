@@ -27,6 +27,7 @@ __all__ = [
     "parity_trace",
     "circular_runs",
     "linear_runs",
+    "parse_bits",
     "runs_from_counts",
     "sample_exact",
     "sample_poissonized",
@@ -52,8 +53,8 @@ class PartialDistribution:
         object.__setattr__(self, "weights", w)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a non-empty 1-d vector")
-        if np.any(w < 0):
-            raise ValueError("negative probability mass")
+        if not np.isfinite(w).all() or w.min() < 0:
+            raise ValueError("weights must be finite and non-negative")
         if w.sum() > 1 + 1e-12:
             raise ValueError(f"total mass {w.sum()} exceeds 1")
 
@@ -149,17 +150,25 @@ def parity_trace(sample: SampleMultiset) -> str:
     return np.repeat(symbols[: counts.size], counts).tobytes().decode("ascii")
 
 
-def linear_runs(trace: str) -> tuple[np.ndarray, np.ndarray]:
-    """(values, lengths) of the maximal constant runs of `trace`, left to right.
+def parse_bits(trace: str) -> np.ndarray:
+    """The characters of `trace` as a uint8 array of 0s and 1s.
 
-    This is the one place traces are parsed: any character other than 0
-    and 1 raises ValueError.
+    This is the one place traces and binary strings are parsed: any
+    character other than 0 and 1 raises ValueError.
     """
     if not trace:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.uint8)
     bits = np.frombuffer(trace.encode("ascii"), dtype=np.uint8) - ord("0")
     if bits.max() > 1:  # uint8 wraps, so characters below "0" land here too
         raise ValueError("a trace may contain only the characters 0 and 1")
+    return bits
+
+
+def linear_runs(trace: str) -> tuple[np.ndarray, np.ndarray]:
+    """(values, lengths) of the maximal constant runs of `trace`, left to right."""
+    if not trace:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    bits = parse_bits(trace)
     edges = np.flatnonzero(np.diff(bits)) + 1
     starts = np.concatenate(([0], edges))
     ends = np.concatenate((edges, [bits.size]))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _kernels
-from .core import PartialDistribution, PartialDistributionPair
+from .core import PartialDistribution, PartialDistributionPair, parse_bits
 from .editdist import DensitySequence
 from .parity import PTTesterConfig, test_uniformity_pt
 from .rng import generator
@@ -225,12 +225,6 @@ def learn_k_alternating(sample, k: int) -> LearnedAlternating:
     return LearnedAlternating(first_value, cut_positions, error, pieces, values)
 
 
-def _trace_bits(trace: str) -> np.ndarray:
-    if not trace:
-        return np.empty(0, dtype=np.int64)
-    return (np.frombuffer(trace.encode("ascii"), dtype=np.uint8) - ord("0")).astype(np.int64)
-
-
 def test_n_block(trace: str, spec: TraceTestSpec,
                  config: PTTesterConfig | None = None, seed=0,
                  reject_threshold: float = 0.375) -> Verdict:
@@ -247,7 +241,7 @@ def test_n_block(trace: str, spec: TraceTestSpec,
     """
     rng = generator(seed)
     poi = poissonize(trace, spec.rho, rng) if trace else ""
-    bits = _trace_bits(poi)
+    bits = parse_bits(poi)
     params = {"property": "n_block", "n_blocks": spec.n_blocks,
               "epsilon": spec.epsilon, "rho": spec.rho}
     if bits.size == 0:
@@ -305,7 +299,7 @@ def test_uniform_n_block(trace: str, spec: TraceTestSpec,
     if not trace:
         return Verdict(True, "none", {"m": 0, "warning": "empty sample"}, params)
     poi = poissonize(trace, spec.rho, rng)
-    bits = _trace_bits(poi)
+    bits = parse_bits(poi)
     if bits.size == 0:
         return Verdict(True, "none", {"m": 0, "warning": "empty sample"}, params)
     m_eff = spec.n_chars * math.log(1.0 / (1.0 - spec.rho))

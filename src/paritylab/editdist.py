@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from .core import linear_runs, parse_bits
 
 __all__ = [
     "DensitySequence",
@@ -101,8 +102,6 @@ class BlockString:
     bits: str
 
     def runs(self) -> tuple[np.ndarray, np.ndarray]:
-        from .core import linear_runs
-
         return linear_runs(self.bits)
 
     @property
@@ -148,10 +147,7 @@ def psi_inv(x: BlockString | str) -> DensitySequence:
 
 
 def _as_bits_array(x) -> np.ndarray:
-    bits = x.bits if isinstance(x, BlockString) else x
-    if not bits:
-        return np.empty(0, dtype=np.uint8)
-    return np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
+    return parse_bits(x.bits if isinstance(x, BlockString) else x)
 
 
 def string_edit_distance(u, v) -> int:

@@ -152,6 +152,17 @@ def test_tester_step_examples():
     assert '"accept": true' in v_json
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -5.0])
+def test_tester_rejects_non_finite_and_negative_counts(bad):
+    # a NaN or a negative count used to pass both steps and accept
+    n = 256
+    cfg = CCTesterConfig(epsilon=0.3, eta=0.5)
+    x = np.ones(n)
+    x[3] = bad
+    with pytest.raises(ValueError):
+        cc_verdict(x, cfg, n, cfg.sample_size(n), BaseGraph("cycle", n))
+
+
 def test_tester_requires_range_check():
     cfg = CCTesterConfig(epsilon=0.05, eta=0.02, L=0.5)
     with pytest.raises(ValueError):

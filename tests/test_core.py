@@ -156,6 +156,14 @@ def test_partial_distribution_validation():
         )
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -5.0])
+def test_partial_distribution_rejects_non_finite_and_negative(bad):
+    w = np.full(8, 0.05)
+    w[3] = bad
+    with pytest.raises(ValueError):
+        PartialDistribution(w)
+
+
 def test_sample_exact_point_mass_and_zero():
     n = 4
     p = np.zeros(n)

@@ -233,6 +233,15 @@ def test_uniform_tester_no_promise_mode():
     assert rej >= 20
 
 
+@pytest.mark.parametrize("prop", ["uniform_n_block_promised", "uniform_n_block", "n_block"])
+def test_trace_testers_reject_non_binary_traces(prop):
+    spec = TraceTestSpec(n_chars=256, n_blocks=8, epsilon=0.3, rho=0.5, property_name=prop)
+    trace = uniform_block_string(256, 8, 1).replace("0", "2")
+    tester = nblock_verdict if prop == "n_block" else ublock_verdict
+    with pytest.raises(ValueError):
+        tester(trace, spec)
+
+
 def test_multitrace_single_equals_direct():
     spec = TraceTestSpec(rho=0.05, **DESK)
     x = uniform_block_string(4096, 16)

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from paritylab._kernels import levenshtein
 from paritylab.editdist import (
     BlockString,
     DensitySequence,
@@ -74,6 +75,72 @@ def test_string_edit_random_against_brute_force():
         a = "".join(rng.choice(["0", "1"], size=rng.integers(0, 16)))
         b = "".join(rng.choice(["0", "1"], size=rng.integers(0, 16)))
         assert string_edit_distance(a, b) == brute_edit(a, b)
+
+
+def _arr(bits: str) -> np.ndarray:
+    return np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
+
+
+def _random_bits(rng, size: int, p_one: float = 0.5) -> str:
+    return "".join("1" if u < p_one else "0" for u in rng.random(size))
+
+
+def test_levenshtein_kernel_matches_row_dp_on_random_pairs():
+    rng = np.random.default_rng(30)
+    for _ in range(300):
+        a = _random_bits(rng, rng.integers(0, 90), rng.random())
+        b = _random_bits(rng, rng.integers(0, 90), rng.random())
+        assert levenshtein(_arr(a), _arr(b)) == brute_edit(a, b), (a, b)
+
+
+BOUNDARY_LENGTHS = (0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129)
+
+
+@pytest.mark.parametrize("n", BOUNDARY_LENGTHS)
+def test_levenshtein_kernel_word_and_byte_boundaries(n):
+    rng = np.random.default_rng(31 + n)
+    a = _random_bits(rng, n)
+    for m in BOUNDARY_LENGTHS:
+        b = _random_bits(rng, m)
+        assert levenshtein(_arr(a), _arr(b)) == brute_edit(a, b), (n, m)
+    # small distances: a few substitutions, then a shift by one (an insert and a delete)
+    near = list(a)
+    for i in rng.choice(n, size=min(n, 3), replace=False):
+        near[i] = "1" if near[i] == "0" else "0"
+    near = "".join(near)
+    assert levenshtein(_arr(a), _arr(near)) == brute_edit(a, near)
+    assert levenshtein(_arr(a), _arr(near[1:] + "0")) == brute_edit(a, near[1:] + "0")
+
+
+@pytest.mark.parametrize("n", BOUNDARY_LENGTHS)
+def test_levenshtein_kernel_empty_and_constant_strings(n):
+    empty = _arr("")
+    assert levenshtein(empty, empty) == 0
+    assert levenshtein(_arr("1" * n), empty) == n
+    assert levenshtein(empty, _arr("0" * n)) == n
+    for m in (0, 1, 8, 64, 130):
+        assert levenshtein(_arr("0" * n), _arr("0" * m)) == abs(n - m)
+        assert levenshtein(_arr("1" * n), _arr("0" * m)) == max(n, m)
+
+
+def test_levenshtein_kernel_symmetry_identity_and_length_bounds():
+    rng = np.random.default_rng(32)
+    for _ in range(200):
+        a = _random_bits(rng, rng.integers(0, 200), rng.random())
+        b = _random_bits(rng, rng.integers(0, 200), rng.random())
+        d = levenshtein(_arr(a), _arr(b))
+        assert d == levenshtein(_arr(b), _arr(a))
+        assert levenshtein(_arr(a), _arr(a)) == 0
+        assert abs(len(a) - len(b)) <= d <= max(len(a), len(b))
+
+
+def test_edit_distances_reject_non_binary_strings():
+    with pytest.raises(ValueError):
+        string_edit_distance("0120", "01")
+    with pytest.raises(ValueError):
+        rel_edit_distance("01", "0120")
+    with pytest.raises(ValueError):
+        dist_to_nblock("01 2", 2)
 
 
 def test_string_edit_metric_properties():

@@ -233,6 +233,16 @@ def test_cli_pt_large_empty_trace_exits_2(tmp_path):
     assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("prop", ["n_block", "uniform_n_block_promised"])
+def test_cli_trace_empty_file_exits_2(tmp_path, prop):
+    tfile = tmp_path / "empty.txt"
+    tfile.write_text("\n\n")
+    out = run_cli("test", "trace", "--trace", str(tfile), "--N", "64", "--blocks", "4",
+                  "--eps", "0.3", "--property", prop)
+    assert out.returncode == 2
+    assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
+
+
 @pytest.mark.parametrize("tester,payload", [("pt", "1010"), ("cc", "[1, 2, 3]")])
 def test_cli_missing_n_is_usage_error(tmp_path, tester, payload):
     tfile = tmp_path / "in.txt"

@@ -1,4 +1,4 @@
-"""Hypothesis properties for the string machinery."""
+"""Hypothesis properties for the string machinery and input validation."""
 
 import json
 import math
@@ -8,9 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paritylab.core import circular_runs
+from paritylab.collector import BaseGraph, CCTesterConfig
+from paritylab.collector import test_uniformity_cc as cc_verdict
+from paritylab.core import PartialDistribution, circular_runs
+from paritylab.deletion import TraceTestSpec
+from paritylab.deletion import test_n_block as nblock_verdict
+from paritylab.deletion import test_uniform_n_block as ublock_verdict
 from paritylab.editdist import (
     BlockString,
+    dist_to_nblock,
     psi,
     psi_inv,
     rel_edit_distance,
@@ -40,13 +46,47 @@ def test_circular_runs_rotation_invariant(bits):
 @given(non_binary)
 @settings(max_examples=300, deadline=None)
 def test_non_binary_traces_rejected_everywhere(text):
-    # every string entry point parses through linear_runs
+    # every string entry point parses through core.parse_bits
     with pytest.raises(ValueError):
         circular_runs(text)
     with pytest.raises(ValueError):
         pt_small(text, 2, 0.3)
     with pytest.raises(ValueError):
         BlockString(text).runs()
+    with pytest.raises(ValueError):
+        string_edit_distance(text, "01")
+    with pytest.raises(ValueError):
+        dist_to_nblock(text, 2)
+    for prop, tester in (("n_block", nblock_verdict), ("uniform_n_block", ublock_verdict),
+                         ("uniform_n_block_promised", ublock_verdict)):
+        spec = TraceTestSpec(n_chars=64, n_blocks=4, epsilon=0.3, rho=0.5,
+                             property_name=prop)
+        with pytest.raises(ValueError):
+            tester(text, spec)
+
+
+malformed_vectors = st.tuples(
+    st.lists(st.floats(0.0, 0.01), min_size=1, max_size=64),
+    st.integers(0, 63),
+    st.one_of(st.just(math.nan), st.just(math.inf), st.just(-math.inf),
+              st.floats(max_value=-1e-300, allow_infinity=False)),
+)
+
+
+@given(malformed_vectors)
+@settings(max_examples=200, deadline=None)
+def test_non_finite_or_negative_vectors_rejected(case):
+    values, at, bad = case
+    x = np.asarray(values)
+    x[at % x.size] = bad
+    with pytest.raises(ValueError):
+        PartialDistribution(x)
+    n = 256
+    cfg = CCTesterConfig(epsilon=0.3, eta=0.5)
+    counts = np.zeros(n)
+    counts[: x.size] = x
+    with pytest.raises(ValueError):
+        cc_verdict(counts, cfg, n, cfg.sample_size(n), BaseGraph("cycle", n))
 
 
 @given(bitstrings.filter(len), st.integers(0, 63))
