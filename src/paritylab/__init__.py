@@ -7,7 +7,6 @@ traces of a block string, together with the exact analysis oracles
 hard-instance generators) used to validate them.
 """
 
-from ._kernels import USE_NUMBA
 from .collector import (
     BaseGraph,
     CCTesterConfig,

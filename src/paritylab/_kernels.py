@@ -2,38 +2,25 @@
 
 The Monte Carlo loops (bucket statistics over random subgraphs), the edit
 distance DP, the alternating-labeling DP, and the circular-interval scan
-dominate the runtime of the test suites.
-
-The edit distance has one implementation: a bit-parallel DP over Python
-ints, with no numba or numpy variant.  The other kernels are implemented
-twice, a plain numpy version and a numba ``@njit`` version compiled from
-the same logic, and their active path is chosen at import time:
-
-* ``PARITYLAB_NO_NUMBA=1`` in the environment forces the numpy path;
-* otherwise numba is used when importable.
-
-``paritylab.benchmarks`` times the two paths against each other.
+dominate the runtime of the test suites.  Each kernel has one
+implementation: numpy array code, except the edit distance, a bit-parallel
+DP over Python ints.  All randomness is drawn by the callers, outside the
+kernels.  ``paritylab.benchmarks`` times every kernel.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 _INF = np.int64(1) << 40
 
-USE_NUMBA = os.environ.get("PARITYLAB_NO_NUMBA", "").strip() not in ("1", "true", "yes")
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        USE_NUMBA = False
+# Always False: there is no compiled kernel path.  Kept only because
+# perfbench records it in its environment line.
+USE_NUMBA = False
 
 __all__ = [
-    "USE_NUMBA",
-    "IMPLEMENTATIONS",
     "bucket_labels",
+    "bucket_sums",
     "bucket_moments",
     "levenshtein",
     "alternating_fit_tables",
@@ -42,111 +29,55 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# bucket labels / moments: connected components of a random subgraph of the
-# path or cycle, and power sums of vertex values over those components.
+# bucket labels / sums / moments: connected components of a random subgraph
+# of the path or cycle, and sums of vertex values over those components.
 # ---------------------------------------------------------------------------
 
-def _bucket_labels_np(keep: np.ndarray, n: int, cycle: bool) -> np.ndarray:
+def bucket_labels(keep: np.ndarray, n: int, cycle: bool) -> np.ndarray:
     """Component label of every vertex, one row per trial.
 
     ``keep[t, j]`` says whether edge j (between vertices j and j+1) is
-    present in trial t.  Labels are consecutive along the path; on the
-    cycle the last component is relabeled 0 when the wrap edge is present.
+    present in trial t.  Labels are consecutive along the path, 0..k-1; on
+    the cycle the last component is relabeled 0 when the wrap edge is
+    present.
     """
+    keep = np.asarray(keep, dtype=np.bool_)
     trials = keep.shape[0]
     labels = np.zeros((trials, n), dtype=np.int64)
     if n > 1:
         breaks = ~keep[:, : n - 1]
         np.cumsum(breaks, axis=1, out=labels[:, 1:])
     if cycle and n > 1:
-        last = labels[:, -1]
-        wrap = keep[:, n - 1] & (last > 0)
-        merge = wrap[:, None] & (labels == last[:, None])
-        labels[merge] = 0
+        # a kept wrap edge joins the last component to component 0
+        joined = np.where(keep[:, n - 1], labels[:, -1], -1)
+        labels *= labels != joined[:, None]
     return labels
 
 
-def _bucket_moments_np(values: np.ndarray, keep: np.ndarray, cycle: bool) -> np.ndarray:
-    """Per-trial [sum s^2, sum s^3, max s] over component sums s of `values`."""
-    trials, n = values.shape
-    labels = _bucket_labels_np(keep, n, cycle)
+def bucket_sums(values: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-trial sums of `values` over buckets, as float64 of shape (trials, n).
+
+    ``out[t, b]`` is the sum of ``values[t, v]`` over the vertices v with
+    ``labels[t, v] == b``; `values` has the shape of `labels`.  Entries past
+    the last bucket are 0.
+    """
+    trials, n = labels.shape
     flat = labels + (np.arange(trials, dtype=np.int64)[:, None] * n)
-    sums = np.bincount(flat.ravel(), weights=values.ravel(), minlength=trials * n)
-    sums = sums.reshape(trials, n)
-    out = np.empty((trials, 3), dtype=np.float64)
+    # bincount copies weights that are not writeable float64, so convert once here
+    weights = np.asarray(values, dtype=np.float64).ravel()
+    sums = np.bincount(flat.ravel(), weights=weights, minlength=trials * n)
+    return sums.reshape(trials, n)
+
+
+def bucket_moments(values: np.ndarray, keep: np.ndarray, cycle: bool) -> np.ndarray:
+    """Per-trial [sum s^2, sum s^3, max s] over component sums s of `values`."""
+    values = np.asarray(values, dtype=np.float64)
+    sums = bucket_sums(values, bucket_labels(keep, values.shape[1], cycle))
+    out = np.empty((sums.shape[0], 3), dtype=np.float64)
     out[:, 0] = np.sum(sums * sums, axis=1)
     out[:, 1] = np.sum(sums * sums * sums, axis=1)
     out[:, 2] = np.max(sums, axis=1)
     return out
-
-
-def _make_bucket_kernels_nb():
-    @njit(cache=True)
-    def _bucket_labels_nb(keep, n, cycle):  # pragma: no cover - compiled
-        trials = keep.shape[0]
-        labels = np.zeros((trials, n), dtype=np.int64)
-        for t in range(trials):
-            lab = 0
-            for v in range(1, n):
-                if not keep[t, v - 1]:
-                    lab += 1
-                labels[t, v] = lab
-            if cycle and lab > 0 and keep[t, n - 1]:
-                for v in range(n - 1, -1, -1):
-                    if labels[t, v] != lab:
-                        break
-                    labels[t, v] = 0
-        return labels
-
-    @njit(cache=True)
-    def _bucket_moments_nb(values, keep, cycle):  # pragma: no cover - compiled
-        trials, n = values.shape
-        out = np.empty((trials, 3), dtype=np.float64)
-        for t in range(trials):
-            s2 = 0.0
-            s3 = 0.0
-            mx = 0.0
-            first = values[t, 0]
-            cur = first
-            first_open = True
-            for v in range(1, n):
-                if keep[t, v - 1]:
-                    cur += values[t, v]
-                else:
-                    if first_open:
-                        first = cur
-                        first_open = False
-                    else:
-                        s2 += cur * cur
-                        s3 += cur * cur * cur
-                        if cur > mx:
-                            mx = cur
-                    cur = values[t, v]
-            # close the walk: cur is the last open component
-            if first_open:
-                # no break at all: one component
-                first = cur
-                s2 = first * first
-                s3 = first * first * first
-                mx = first
-            else:
-                if cycle and keep[t, n - 1]:
-                    first = first + cur
-                else:
-                    s2 += cur * cur
-                    s3 += cur * cur * cur
-                    if cur > mx:
-                        mx = cur
-                s2 += first * first
-                s3 += first * first * first
-                if first > mx:
-                    mx = first
-            out[t, 0] = s2
-            out[t, 1] = s3
-            out[t, 2] = mx
-        return out
-
-    return _bucket_labels_nb, _bucket_moments_nb
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +125,13 @@ def levenshtein(a: np.ndarray, b: np.ndarray) -> int:
 # best <= k-alternating labeling of a bit sequence (min disagreements)
 # ---------------------------------------------------------------------------
 
-def _alternating_fit_tables_np(bits: np.ndarray, k: int):
+def alternating_fit_tables(bits: np.ndarray, k: int):
     """DP over (cuts used, current label); returns (final dp, choice tensor).
 
     choice[i, j, v] == 1 when the optimal path entering point i in state
     (j, v) arrived via a label flip from (j-1, 1-v).
     """
+    bits = np.asarray(bits, dtype=np.int64)
     m = len(bits)
     dp = np.full((k + 1, 2), _INF, dtype=np.int64)
     dp[0, :] = 0
@@ -218,43 +150,19 @@ def _alternating_fit_tables_np(bits: np.ndarray, k: int):
     return dp, choice
 
 
-def _make_alternating_fit_nb():
-    @njit(cache=True)
-    def _alternating_fit_tables_nb(bits, k):  # pragma: no cover - compiled
-        m = len(bits)
-        dp = np.full((k + 1, 2), _INF, dtype=np.int64)
-        dp[0, 0] = 0
-        dp[0, 1] = 0
-        choice = np.zeros((m, k + 1, 2), dtype=np.uint8)
-        for i in range(m):
-            b = bits[i]
-            # descending j: dp[j-1] still holds the previous point's values
-            for j in range(k, -1, -1):
-                for v in range(2):
-                    best = dp[j, v]
-                    if j > 0:
-                        f = dp[j - 1, 1 - v]
-                        if f < best:
-                            best = f
-                            choice[i, j, v] = 1
-                    cost = 0 if b == v else 1
-                    dp[j, v] = best + cost
-        return dp, choice
-
-    return _alternating_fit_tables_nb
-
-
 # ---------------------------------------------------------------------------
 # circular interval scan for relative concentration
 # ---------------------------------------------------------------------------
 
-def _interval_scan_np(p: np.ndarray, q: np.ndarray, t: float, cycle: bool):
+def interval_scan(p: np.ndarray, q: np.ndarray, t: float, cycle: bool):
     """Scan all circular intervals of size 1..n.
 
     Returns (gamma, i*, d*, wp, wi, wd): the maximum of p[I]/max(q[I*], t)
     with its argmax, and the interval maximizing p[I] among those with
     q[I*] <= t (the witness candidate).
     """
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
     n = len(p)
     pc = np.concatenate(([0.0], np.cumsum(np.concatenate((p, p)))))
     qc = np.concatenate(([0.0], np.cumsum(np.concatenate((q, q)))))
@@ -276,85 +184,3 @@ def _interval_scan_np(p: np.ndarray, q: np.ndarray, t: float, cycle: bool):
     wi, wd = divmod(flatw, n)
     wp = wcand[wi, wd]
     return float(gamma), int(gi), int(gd) + 1, float(wp), int(wi), int(wd) + 1
-
-
-def _make_interval_scan_nb():
-    @njit(cache=True)
-    def _interval_scan_nb(p, q, t, cycle):  # pragma: no cover - compiled
-        n = len(p)
-        gamma = -np.inf
-        gi = 0
-        gd = 1
-        wp = -np.inf
-        wi = 0
-        wd = 1
-        for i in range(n):
-            psum = 0.0
-            qsum = 0.0
-            dmax = n if cycle else n - i
-            for d in range(1, dmax + 1):
-                psum += p[(i + d - 1) % n]
-                if d >= 2:
-                    qsum += q[(i + d - 2) % n]
-                denom = qsum if qsum > t else t
-                r = psum / denom
-                if r > gamma:
-                    gamma = r
-                    gi = i
-                    gd = d
-                if qsum <= t and psum > wp:
-                    wp = psum
-                    wi = i
-                    wd = d
-        return gamma, gi, gd, wp, wi, wd
-
-    return _interval_scan_nb
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-if USE_NUMBA:
-    _bucket_labels_active, _bucket_moments_active = _make_bucket_kernels_nb()
-    _alternating_fit_active = _make_alternating_fit_nb()
-    _interval_scan_active = _make_interval_scan_nb()
-else:
-    _bucket_labels_active = _bucket_labels_np
-    _bucket_moments_active = _bucket_moments_np
-    _alternating_fit_active = _alternating_fit_tables_np
-    _interval_scan_active = _interval_scan_np
-
-
-def bucket_labels(keep: np.ndarray, n: int, cycle: bool) -> np.ndarray:
-    keep = np.ascontiguousarray(keep, dtype=np.bool_)
-    return _bucket_labels_active(keep, n, cycle)
-
-
-def bucket_moments(values: np.ndarray, keep: np.ndarray, cycle: bool) -> np.ndarray:
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    keep = np.ascontiguousarray(keep, dtype=np.bool_)
-    return _bucket_moments_active(values, keep, cycle)
-
-
-def alternating_fit_tables(bits: np.ndarray, k: int):
-    bits = np.ascontiguousarray(bits, dtype=np.int64)
-    return _alternating_fit_active(bits, k)
-
-
-def interval_scan(p: np.ndarray, q: np.ndarray, t: float, cycle: bool):
-    p = np.ascontiguousarray(p, dtype=np.float64)
-    q = np.ascontiguousarray(q, dtype=np.float64)
-    return _interval_scan_active(p, q, float(t), bool(cycle))
-
-
-IMPLEMENTATIONS = {
-    "bucket_labels": (_bucket_labels_np, _bucket_labels_active if USE_NUMBA else None),
-    "bucket_moments": (_bucket_moments_np, _bucket_moments_active if USE_NUMBA else None),
-    "levenshtein": (levenshtein, None),
-    "alternating_fit_tables": (
-        _alternating_fit_tables_np,
-        _alternating_fit_active if USE_NUMBA else None,
-    ),
-    "interval_scan": (_interval_scan_np, _interval_scan_active if USE_NUMBA else None),
-}

@@ -1,9 +1,7 @@
-"""Timings of the numba kernels against their pure-numpy twins.
+"""Best-of-k wall time of every kernel in ``paritylab._kernels``.
 
-Run as ``python -m paritylab.benchmarks`` or ``paritylab bench``.  When
-numba is disabled (PARITYLAB_NO_NUMBA=1) only the numpy path exists and
-the comparison is skipped.  The edit distance has one implementation,
-so its row always shows a single time.
+Run as ``python -m paritylab.benchmarks`` or ``paritylab bench``.  Each
+kernel has one implementation, so each row shows one time.
 """
 
 from __future__ import annotations
@@ -32,6 +30,7 @@ def _cases():
     keep = rng.random((trials, n)) < 0.5
     values = rng.poisson(4.0, size=(trials, n)).astype(np.float64)
     yield "bucket_labels", (keep, n, True)
+    yield "bucket_sums", (values, _kernels.bucket_labels(keep, n, True))
     yield "bucket_moments", (values, keep, True)
 
     a = (rng.random(4096) < 0.5).astype(np.uint8)
@@ -51,19 +50,11 @@ def _cases():
 
 
 def run(repeats: int = 3) -> None:
-    print(f"numba active: {_kernels.USE_NUMBA}")
-    header = f"{'kernel':<24}{'numpy (s)':>12}{'numba (s)':>12}{'speedup':>10}"
+    header = f"{'kernel':<24}{'best (s)':>12}"
     print(header)
     print("-" * len(header))
     for name, args in _cases():
-        np_fn, nb_fn = _kernels.IMPLEMENTATIONS[name]
-        t_np = _time(np_fn, *args, repeats=repeats)
-        if nb_fn is None or nb_fn is np_fn:
-            print(f"{name:<24}{t_np:>12.4f}{'-':>12}{'-':>10}")
-            continue
-        nb_fn(*args)  # compile outside the timed region
-        t_nb = _time(nb_fn, *args, repeats=repeats)
-        print(f"{name:<24}{t_np:>12.4f}{t_nb:>12.4f}{t_np / t_nb:>10.1f}x")
+        print(f"{name:<24}{_time(getattr(_kernels, name), *args, repeats=repeats):>12.4f}")
 
 
 if __name__ == "__main__":

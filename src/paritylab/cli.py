@@ -222,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--beta", type=float, default=None)
     s.set_defaults(fn=_cmd_calibrate)
 
-    s = sub.add_parser("bench", help="time the numba kernels against numpy")
+    s = sub.add_parser("bench", help="time the numeric kernels")
     s.add_argument("--repeats", type=int, default=3)
     s.set_defaults(fn=_cmd_bench)
 

@@ -71,14 +71,6 @@ class BucketPartition:
     def n_buckets(self) -> int:
         return int(np.unique(self.labels).size)
 
-    def components(self) -> list[np.ndarray]:
-        labs = self.labels
-        return [np.flatnonzero(labs == b) for b in np.unique(labs)]
-
-    def mass(self, weights: np.ndarray) -> np.ndarray:
-        """Total weight inside each bucket (indexed by sorted bucket id)."""
-        return np.array([weights[c].sum() for c in self.components()])
-
 
 @dataclass(frozen=True)
 class CCTesterConfig:
@@ -115,16 +107,29 @@ class CCTesterConfig:
 
 
 def _keep_probs(graph: BaseGraph, eta=None, weights=None) -> np.ndarray:
-    if (eta is None) == (weights is None):
-        raise ValueError("pass exactly one of eta or weights")
+    """Per-edge survival probabilities: 1 - weights when given, else 1 - eta."""
     if weights is not None:
         w = np.asarray(weights, dtype=np.float64)
         if w.size != graph.n_edges or np.any((w < 0) | (w > 1)):
             raise ValueError("edge weights must lie in [0,1], one per edge")
         return 1.0 - w
+    if eta is None:
+        raise ValueError("pass eta or weights")
     if not (0 < eta <= 1):
         raise ValueError("eta must lie in (0,1]")
     return np.full(graph.n_edges, 1.0 - eta)
+
+
+def _subgraph_chunks(rng, keep_p: np.ndarray, trials: int, chunk: int):
+    """Draw `trials` random subgraphs, at most `chunk` at a time.
+
+    Yields (rows, keep): the slice of trial indices and their (b, edges)
+    edge-survival draws.  Each chunk is drawn only when the caller asks for
+    it, so draws the caller makes in between follow in stream order.
+    """
+    for start in range(0, trials, chunk):
+        b = min(chunk, trials - start)
+        yield slice(start, start + b), rng.random((b, keep_p.size)) < keep_p
 
 
 def sample_confused(p, m: float, graph: BaseGraph, eta: float, seed, weights=None):
@@ -138,13 +143,11 @@ def sample_confused(p, m: float, graph: BaseGraph, eta: float, seed, weights=Non
     if pw.size != graph.n:
         raise ValueError("distribution and graph sizes differ")
     rng = generator(seed)
-    keep = rng.random(graph.n_edges) < _keep_probs(graph, eta if weights is None else None, weights)
+    keep = rng.random(graph.n_edges) < _keep_probs(graph, eta, weights)
     labels = _kernels.bucket_labels(keep[None, :], graph.n, graph.is_cycle)[0]
-    part = BucketPartition(labels)
     counts = rng.poisson(m * pw)
-    x = np.bincount(labels, weights=counts, minlength=graph.n).astype(np.int64)
-    x = np.array([x[b] for b in np.unique(labels)], dtype=np.int64)
-    return part, x
+    # labels run over 0..k-1, so the bincount has one entry per bucket
+    return BucketPartition(labels), np.bincount(labels, weights=counts).astype(np.int64)
 
 
 def confused_trials(p, m: float, graph: BaseGraph, eta: float, trials: int, seed,
@@ -152,20 +155,36 @@ def confused_trials(p, m: float, graph: BaseGraph, eta: float, trials: int, seed
     """Monte Carlo batch of (Y, max bucket count) over fresh (H, sample) draws."""
     pw = np.asarray(getattr(p, "weights", p), dtype=np.float64)
     rng = generator(seed)
-    keep_p = _keep_probs(graph, eta if weights is None else None, weights)
+    keep_p = _keep_probs(graph, eta, weights)
     ys = np.empty(trials)
     maxx = np.empty(trials)
-    done = 0
-    while done < trials:
-        b = min(chunk, trials - done)
-        keep = rng.random((b, graph.n_edges)) < keep_p
-        counts = rng.poisson(m * pw, size=(b, graph.n)).astype(np.float64)
+    for rows, keep in _subgraph_chunks(rng, keep_p, trials, chunk):
+        counts = rng.poisson(m * pw, size=(keep.shape[0], graph.n)).astype(np.float64)
         mom = _kernels.bucket_moments(counts, keep, graph.is_cycle)
-        tot = counts.sum(axis=1)
-        ys[done : done + b] = (mom[:, 0] - tot) / m
-        maxx[done : done + b] = mom[:, 2]
-        done += b
+        ys[rows] = (mom[:, 0] - counts.sum(axis=1)) / m
+        maxx[rows] = mom[:, 2]
     return ys, maxx
+
+
+def _join_matrix(n: int, nu: float, cycle: bool) -> np.ndarray:
+    """Join matrix when every edge survives with probability nu."""
+    d = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    if cycle:
+        phi = nu**d + nu ** (n - d) - nu**n
+        np.fill_diagonal(phi, 1.0)
+        return phi
+    return nu**d
+
+
+def _join_sum(n: int, nu: float, cycle: bool) -> float:
+    """Sum of all entries of `_join_matrix(n, nu, cycle)`, in closed form."""
+    if cycle:
+        if nu == 0.0:
+            return float(n)
+        geo = (nu - nu**n) / (1 - nu) if nu < 1 else n - 1
+        return n * (1 + 2 * geo - (n - 1) * nu**n)
+    d = np.arange(1, n)
+    return float(n + 2 * np.sum((n - d) * nu**d))
 
 
 def phi_expected(graph: BaseGraph, eta: float) -> np.ndarray:
@@ -176,51 +195,43 @@ def phi_expected(graph: BaseGraph, eta: float) -> np.ndarray:
     """
     if not (0 < eta <= 1):
         raise ValueError("eta must lie in (0,1]")
-    n = graph.n
-    nu = 1.0 - eta
-    d = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    if graph.is_cycle:
-        phi = nu**d + nu ** (n - d) - nu**n
-        np.fill_diagonal(phi, 1.0)
-        return phi
-    return nu**d
+    return _join_matrix(graph.n, 1.0 - eta, graph.is_cycle)
 
 
 def phi_from_keep_probs(keep: np.ndarray, kind: str) -> np.ndarray:
-    """Expected join matrix for arbitrary per-edge keep probabilities.
+    """Expected join matrix for arbitrary per-edge keep probabilities in [0,1].
 
     Entry (i,j) is the probability that i and j land in one bucket: the
     product of keep probabilities along the edges between them; on the
-    cycle, inclusion-exclusion over the two arcs.
+    cycle, inclusion-exclusion over the two arcs.  Products are sums of
+    logs: with c the prefix sums of log(keep) at the vertices, the arc
+    between i < j has log-product c[j] - c[i] and, on the cycle, the other
+    arc c[n] - c[j] + c[i]; an arc holding a zero-probability edge joins
+    nothing.
     """
-    keep = np.asarray(keep, dtype=np.float64)
-    csum = np.concatenate(([0.0], np.cumsum(np.log(np.maximum(keep, 1e-300)))))
-    nzero = np.concatenate(([0], np.cumsum(keep == 0)))
-
-    def arc(lo, hi):  # product of keep over edges lo..hi-1
-        if nzero[hi] - nzero[lo]:
-            return 0.0
-        return math.exp(csum[hi] - csum[lo])
-
-    if kind == "path":
-        n = keep.size + 1
-        phi = np.eye(n)
-        for i in range(n):
-            for j in range(i + 1, n):
-                phi[i, j] = phi[j, i] = arc(i, j)
-        return phi
-    if kind != "cycle":
+    if kind not in ("path", "cycle"):
         raise ValueError("kind must be 'path' or 'cycle'")
-    n = keep.size
-    total = 0.0 if nzero[n] else math.exp(csum[n])
-    phi = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            # edges i..j-1 on one arc, j..n-1 plus 0..i-1 on the other
-            a2 = 0.0
-            if not (nzero[n] - nzero[j] + nzero[i]):
-                a2 = math.exp(csum[n] - csum[j] + csum[i])
-            phi[i, j] = phi[j, i] = arc(i, j) + a2 - total
+    keep = np.asarray(keep, dtype=np.float64)
+    logs = np.concatenate(([0.0], np.cumsum(np.log(np.maximum(keep, 1e-300)))))
+    zeros = np.concatenate(([0], np.cumsum(keep == 0, dtype=np.int32)))
+    n = keep.size + 1 if kind == "path" else keep.size
+    c, z = logs[:n], zeros[:n]
+    # logs never increase along the path, so -|c[i] - c[j]| is the arc i..j
+    phi = np.abs(np.subtract.outer(c, c))
+    np.negative(phi, out=phi)
+    np.exp(phi, out=phi)
+    phi[np.not_equal.outer(z, z)] = 0.0
+    if kind == "path":
+        return phi
+    # far[i, j] = c[i] + (c[n] - c[j]) is the other arc when i < j, and the
+    # larger of far[i, j] and far[j, i]; the maximum puts it on both sides
+    far = np.add.outer(c, logs[n] - c)
+    far = np.maximum(far, far.T)
+    np.exp(far, out=far)
+    far[np.abs(np.subtract.outer(z, z)) != zeros[n]] = 0.0
+    phi += far
+    phi -= 0.0 if zeros[n] else math.exp(logs[n])
+    np.fill_diagonal(phi, 1.0)
     return phi
 
 
@@ -230,30 +241,17 @@ def phi_empirical(graph: BaseGraph, eta: float, trials: int, seed,
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = generator(seed)
-    keep_p = _keep_probs(graph, eta)
     n = graph.n
     acc = np.zeros((n, n))
-    done = 0
-    while done < trials:
-        b = min(chunk, trials - done)
-        keep = rng.random((b, graph.n_edges)) < keep_p
+    for _, keep in _subgraph_chunks(rng, _keep_probs(graph, eta), trials, chunk):
         labels = _kernels.bucket_labels(keep, n, graph.is_cycle)
         acc += (labels[:, :, None] == labels[:, None, :]).sum(axis=0)
-        done += b
     return acc / trials
 
 
 def phi_row_sum_total(graph: BaseGraph, eta: float) -> float:
     """Closed-form sum of all entries of the expected join matrix."""
-    n = graph.n
-    nu = 1.0 - eta
-    if graph.is_cycle:
-        if nu == 0.0:
-            return float(n)
-        geo = (nu - nu**n) / (1 - nu) if nu < 1 else n - 1
-        return n * (1 + 2 * geo - (n - 1) * nu**n)
-    d = np.arange(1, n)
-    return float(n + 2 * np.sum((n - d) * nu**d))
+    return _join_sum(graph.n, 1.0 - eta, graph.is_cycle)
 
 
 def min_eigenvalue(phi: np.ndarray) -> float:

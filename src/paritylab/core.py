@@ -11,12 +11,12 @@ the testers consume.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
+from . import _kernels
 from .rng import generator
 
 __all__ = [
@@ -35,8 +35,6 @@ __all__ = [
     "uniform_pair",
     "pair_to_json",
     "pair_from_json",
-    "poissonized_budget",
-    "fixed_budget",
 ]
 
 _MASS_TOL = 1e-9
@@ -200,37 +198,26 @@ def runs_from_counts(counts: np.ndarray) -> RunLengthTrace:
     Equivalent to ``circular_runs(parity_trace(SampleMultiset(counts)))`` but
     O(domain) regardless of the sample size: the record keeps `counts` as its
     source and builds the trace string only if `bits` is read.
+
+    On the necklace of n odd/even slot pairs, the one-runs are the bucket
+    sums of the odd counts where edge i survives when the even slot after
+    odd slot i is empty, and the zero-runs are the bucket sums of the even
+    counts where edge i survives when the next odd slot is empty.  Buckets
+    with no sample point give no run.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    a = counts[0::2]  # odd elements -> 1 symbols
-    b = counts[1::2]  # even elements -> 0 symbols
-    one_runs = _circular_group_sums(a, b == 0)
-    zero_runs = _circular_group_sums(b, np.roll(a, -1) == 0)
-    return RunLengthTrace(one_runs=one_runs, zero_runs=zero_runs, source=counts)
+    odd = counts[0::2]  # odd elements -> 1 symbols
+    even = counts[1::2]  # even elements -> 0 symbols
+    return RunLengthTrace(one_runs=_bucket_runs(odd, even == 0),
+                          zero_runs=_bucket_runs(even, np.roll(odd, -1) == 0),
+                          source=counts)
 
 
-def _circular_group_sums(values: np.ndarray, join_next: np.ndarray) -> np.ndarray:
-    """Sums of `values` over maximal circular groups joined by `join_next`.
-
-    `join_next[i]` joins position i with position i+1 mod n.  Groups whose
-    sum is zero are dropped (they produce no run in the trace).
-    """
-    n = values.size
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    if bool(np.all(join_next)):
-        s = int(values.sum())
-        return np.array([s], dtype=np.int64) if s > 0 else np.empty(0, dtype=np.int64)
-    breaks = np.flatnonzero(~join_next)  # group ends at position breaks[k]
-    first = int(breaks[0])
-    # rotate so that the walk starts right after a break
-    order = np.concatenate((values[first + 1 :], values[: first + 1]))
-    ends = np.concatenate((breaks[1:] - first, [n])) - 1
-    csum = np.cumsum(order)
-    totals = csum[ends]
-    totals[1:] -= csum[ends[:-1]]
-    totals = totals[totals > 0]
-    return totals.astype(np.int64)
+def _bucket_runs(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Nonzero bucket sums of `values` on the cycle whose edge i survives when keep[i]."""
+    labels = _kernels.bucket_labels(keep[None, :], values.size, True)
+    sums = _kernels.bucket_sums(values[None, :], labels)[0]
+    return sums[sums > 0].astype(np.int64)
 
 
 def sample_exact(pair: PartialDistributionPair, m: int, seed) -> SampleMultiset:
@@ -289,12 +276,3 @@ def pair_from_json(text: str) -> PartialDistributionPair:
         raise ValueError("declared n does not match vector lengths")
     return PartialDistributionPair(p, q)
 
-
-def poissonized_budget(m: int, delta: float = 0.1) -> int:
-    """Sample size converting a fixed-m tester into a Poissonized one."""
-    return int(math.ceil(max(2 * m, 12 * math.log(4 / delta))))
-
-
-def fixed_budget(m: int, delta: float = 0.1) -> int:
-    """Sample size converting a Poissonized tester into a fixed-m one."""
-    return int(math.ceil(max(1.5 * m, 18 * math.log(4 / delta))))

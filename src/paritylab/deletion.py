@@ -255,7 +255,10 @@ def test_n_block(trace: str, spec: TraceTestSpec,
     return Verdict(True, "none", stats, params)
 
 
-def _promised_uniform_verdict(poi_bits: np.ndarray, spec: TraceTestSpec,
+_NEGATE = str.maketrans("01", "10")
+
+
+def _promised_uniform_verdict(poi: str, spec: TraceTestSpec,
                               config: PTTesterConfig, m_eff: float) -> Verdict:
     """Run the parity-trace uniformity tester on a poissonized trace and on
     its negation; accept if either accepts.
@@ -268,12 +271,10 @@ def _promised_uniform_verdict(poi_bits: np.ndarray, spec: TraceTestSpec,
         config = replace(config, mode="large_eps")
     half = spec.n_blocks // 2
     eps = spec.epsilon / 2.0  # string-to-distribution farness loses a factor 2
-    as_str = "".join("01"[b] for b in poi_bits)
-    v1 = test_uniformity_pt(as_str, half, eps, config, m=m_eff)
-    neg = "".join("01"[1 - b] for b in poi_bits)
-    v2 = test_uniformity_pt(neg, half, eps, config, m=m_eff)
+    v1 = test_uniformity_pt(poi, half, eps, config, m=m_eff)
+    v2 = test_uniformity_pt(poi.translate(_NEGATE), half, eps, config, m=m_eff)
     accept = v1.accept or v2.accept
-    stats = {"m": float(len(as_str)), "m_eff": m_eff,
+    stats = {"m": float(len(poi)), "m_eff": m_eff,
              "accept_direct": v1.accept, "accept_negated": v2.accept}
     params = {"property": spec.property_name, "n_blocks": spec.n_blocks,
               "epsilon": spec.epsilon, "rho": spec.rho, "inner_epsilon": eps}
@@ -304,7 +305,7 @@ def test_uniform_n_block(trace: str, spec: TraceTestSpec,
         return Verdict(True, "none", {"m": 0, "warning": "empty sample"}, params)
     m_eff = spec.n_chars * math.log(1.0 / (1.0 - spec.rho))
     if spec.property_name == "uniform_n_block_promised":
-        return _promised_uniform_verdict(bits, spec, config, m_eff)
+        return _promised_uniform_verdict(poi, spec, config, m_eff)
 
     # no-promise: learn, test disagreement, then verify bucket uniformity
     eps = spec.epsilon / 2.0

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collector import BaseGraph, CCTesterConfig, test_uniformity_cc
+from .collector import BaseGraph, CCTesterConfig, sample_confused, test_uniformity_cc
 from .core import (
     PartialDistribution,
     PartialDistributionPair,
@@ -224,13 +224,7 @@ def run_cc_trial(point: dict, seed) -> Verdict:
     m = point.get("m") or cfg.sample_size(n)
     s_inst, s_run = split_seed(seed, 2)
     p = _cc_instance(point, s_inst)
-    rng = generator(s_run)
-    keep = rng.random(graph.n_edges) < (1.0 - cfg.eta)
-    from . import _kernels
-
-    labels = _kernels.bucket_labels(keep[None, :], n, graph.is_cycle)[0]
-    counts = rng.poisson(m * p)
-    x = np.bincount(labels, weights=counts.astype(np.float64), minlength=n)
+    _, x = sample_confused(p, m, graph, cfg.eta, s_run)
     return test_uniformity_cc(x, cfg, n, m, graph, override_range_check=point.get("override", False))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .collector import BaseGraph, phi_from_keep_probs
+from .collector import BaseGraph, _keep_probs, _subgraph_chunks, phi_from_keep_probs
 from .rng import generator
 
 __all__ = [
@@ -99,18 +99,11 @@ def simulated_bucket_means(q, values, m: float, trials: int, seed,
     vals = np.asarray(values, dtype=np.float64)
     n = qw.size
     rng = generator(seed)
-    keep_p = np.exp(-m * qw)
     acc = np.zeros(n)
-    done = 0
-    while done < trials:
-        b = min(chunk, trials - done)
-        keep = rng.random((b, n)) < keep_p
+    for _, keep in _subgraph_chunks(rng, np.exp(-m * qw), trials, chunk):
         labels = _kernels.bucket_labels(keep, n, True)
-        flat = labels + (np.arange(b, dtype=np.int64)[:, None] * n)
-        sums = np.bincount(flat.ravel(), weights=np.broadcast_to(vals, (b, n)).ravel(),
-                           minlength=b * n).reshape(b, n)
+        sums = _kernels.bucket_sums(np.broadcast_to(vals, labels.shape), labels)
         acc += np.take_along_axis(sums, labels, axis=1).sum(axis=0)
-        done += b
     return acc / trials
 
 
@@ -165,24 +158,15 @@ def variance_components(p, graph: BaseGraph, m: float, trials: int, seed,
     if trials < 1000:
         raise ValueError("need at least 1e3 trials for a stable split")
     pw = np.asarray(getattr(p, "weights", p), dtype=np.float64)
+    keep_p = _keep_probs(graph, eta, weights)
     rng = generator(seed)
-    if weights is not None:
-        keep_p = 1.0 - np.asarray(weights, dtype=np.float64)
-    elif eta is not None:
-        keep_p = np.full(graph.n_edges, 1.0 - eta)
-    else:
-        raise ValueError("pass eta or weights")
     cond_mean = np.empty(trials)
     cond_var = np.empty(trials)
-    done = 0
-    while done < trials:
-        b = min(chunk, trials - done)
-        keep = rng.random((b, graph.n_edges)) < keep_p
-        mom = _kernels.bucket_moments(np.broadcast_to(pw, (b, graph.n)).copy(), keep,
-                                      graph.is_cycle)
-        cond_mean[done : done + b] = m * mom[:, 0]
-        cond_var[done : done + b] = 2.0 * mom[:, 0] + 4.0 * m * mom[:, 1]
-        done += b
+    for rows, keep in _subgraph_chunks(rng, keep_p, trials, chunk):
+        values = np.broadcast_to(pw, (keep.shape[0], graph.n))
+        mom = _kernels.bucket_moments(values, keep, graph.is_cycle)
+        cond_mean[rows] = m * mom[:, 0]
+        cond_var[rows] = 2.0 * mom[:, 0] + 4.0 * m * mom[:, 1]
     return float(cond_mean.var(ddof=1)), float(cond_var.mean())
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .collector import _join_matrix, _join_sum
 from .core import RunLengthTrace, circular_runs, linear_runs
 from .verdict import Verdict
 
@@ -82,18 +83,12 @@ def phi_mu(n: int, m: float) -> np.ndarray:
     """
     if m <= 0:
         raise ValueError("m must be positive")
-    nu = math.exp(-m / (2 * n))
-    d = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    phi = nu**d + nu ** (n - d) - nu**n
-    np.fill_diagonal(phi, 1.0)
-    return phi
+    return _join_matrix(n, math.exp(-m / (2 * n)), True)
 
 
 def phi_mu_sum(n: int, m: float) -> float:
     """Sum of all entries of phi_mu, via the geometric row-sum closed form."""
-    nu = math.exp(-m / (2 * n))
-    geo = (nu - nu**n) / (1 - nu) if nu < 1 else float(n - 1)
-    return n * (1 + 2 * geo - (n - 1) * nu**n)
+    return _join_sum(n, math.exp(-m / (2 * n)), True)
 
 
 def uht_histogram(counts, domain_size: int, epsilon: float) -> Verdict:

@@ -17,6 +17,7 @@ from paritylab.collector import (
 )
 from paritylab.collector import test_uniformity_cc as cc_verdict  # noqa: E402
 from paritylab.oracles import expected_y  # noqa: E402
+from paritylab.rng import generator  # noqa: E402
 
 
 
@@ -89,13 +90,43 @@ def test_zeta_bound_values():
     )
 
 
+def test_phi_from_keep_probs_matches_arc_products():
+    rng = np.random.default_rng(9)
+    for kind in ("path", "cycle"):
+        for n in (2, 3, 7, 12):
+            edges = n if kind == "cycle" else n - 1
+            for _ in range(20):
+                keep = rng.random(edges)
+                keep[rng.random(edges) < 0.25] = 0.0
+                expect = np.eye(n)
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        near = np.prod(keep[i:j])
+                        if kind == "cycle":  # either arc joins; both means every edge
+                            near += np.prod(keep[j:]) * np.prod(keep[:i]) - np.prod(keep)
+                        expect[i, j] = expect[j, i] = near
+                phi = phi_from_keep_probs(keep, kind)
+                assert np.allclose(phi, expect, rtol=0, atol=1e-12)
+                assert np.array_equal(phi == 0, expect == 0)  # a zero edge joins nothing
+            for eta in (0.1, 0.5, 1.0):
+                g = BaseGraph(kind, n)
+                assert np.allclose(phi_from_keep_probs(np.full(edges, 1.0 - eta), kind),
+                                   phi_expected(g, eta), rtol=0, atol=1e-12)
+
+
 def test_sample_confused_extremes():
     p = np.full(8, 1.0 / 8)
     g = BaseGraph("cycle", 8)
+    # the sampler draws the subgraph, then the counts, from one generator
+    rng = generator(0)
+    rng.random(g.n_edges)
+    drawn = int(rng.poisson(5.0 * p).sum())
     part, x = sample_confused(p, 5.0, g, eta=1.0, seed=0)
     assert part.n_buckets == 8  # all singletons
+    assert x.size == part.n_buckets and int(x.sum()) == drawn
     part, x = sample_confused(p, 5.0, g, eta=1e-12, seed=0)
     assert part.n_buckets == 1  # everything joins
+    assert x.size == part.n_buckets and int(x.sum()) == drawn
 
 
 def test_expected_y_identities():

@@ -122,9 +122,22 @@ def test_circular_runs_roundtrip_exhaustive():
 
 def test_runs_from_counts_matches_string_path():
     rng = np.random.default_rng(1)
-    for _ in range(200):
-        n = int(rng.integers(1, 8))
+    cases = []
+    for _ in range(400):
+        n = int(rng.integers(1, 65))
         counts = rng.integers(0, 4, size=2 * n)
+        counts[rng.random(2 * n) < rng.random()] = 0  # from no zeros to mostly zeros
+        cases.append(counts)
+    for n in (1, 2, 5, 64):
+        joined = np.zeros(2 * n, dtype=np.int64)
+        joined[0] = 3  # every edge of both necklaces is kept: one run of 1s
+        cases.append(joined)
+        one_class = np.zeros(2 * n, dtype=np.int64)
+        one_class[1::2] = rng.integers(1, 4, size=n)  # one run of 0s, no 1s
+        cases.append(one_class)
+        cases.append(rng.integers(1, 4, size=2 * n))  # no edge kept: 2n singleton runs
+        cases.append(np.zeros(2 * n, dtype=np.int64))
+    for counts in cases:
         via_string = circular_runs(parity_trace(SampleMultiset(counts)))
         direct = runs_from_counts(counts)
         assert sorted(via_string.one_runs) == sorted(direct.one_runs)
