@@ -120,6 +120,10 @@ def _keep_probs(graph: BaseGraph, eta=None, weights=None) -> np.ndarray:
     return np.full(graph.n_edges, 1.0 - eta)
 
 
+# cells per chunk of the oracles that chunk by cells; row chunks keep the stream
+_CHUNK_CELLS = 1 << 19
+
+
 def _subgraph_chunks(rng, keep_p: np.ndarray, trials: int, chunk: int):
     """Draw `trials` random subgraphs, at most `chunk` at a time.
 
@@ -235,15 +239,15 @@ def phi_from_keep_probs(keep: np.ndarray, kind: str) -> np.ndarray:
     return phi
 
 
-def phi_empirical(graph: BaseGraph, eta: float, trials: int, seed,
-                  chunk: int = 4096) -> np.ndarray:
-    """Monte Carlo average of the realized join matrix."""
+def phi_empirical(graph: BaseGraph, eta: float, trials: int, seed) -> np.ndarray:
+    """Monte Carlo average of the realized join matrix, in chunks of n^2-cell trials."""
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = generator(seed)
     n = graph.n
     acc = np.zeros((n, n))
-    for _, keep in _subgraph_chunks(rng, _keep_probs(graph, eta), trials, chunk):
+    rows = max(1, _CHUNK_CELLS // (n * n))
+    for _, keep in _subgraph_chunks(rng, _keep_probs(graph, eta), trials, rows):
         labels = _kernels.bucket_labels(keep, n, graph.is_cycle)
         acc += (labels[:, :, None] == labels[:, None, :]).sum(axis=0)
     return acc / trials

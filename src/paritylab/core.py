@@ -245,15 +245,20 @@ def split_sample_k(pair: PartialDistributionPair, m: float, k: int, seed) -> lis
     uniformly random output; every output is then distributed as an
     independent parity trace of size Poisson(m).
     """
+    return _split_poisson(k * m, pair.interleaved(), k, seed)
+
+
+def _split_poisson(rate: float, mass: np.ndarray, k: int, seed) -> list[str]:
+    """k parity traces from one Poisson(rate * mass) draw, each sample point routed
+    to a uniformly random output, so output i has counts Poisson(rate * mass / k)."""
     if k < 1:
         raise ValueError("k must be at least 1")
     rng = generator(seed)
-    parent = rng.poisson(k * m * pair.interleaved())
-    probs = np.full(k, 1.0 / k)
+    parent = rng.poisson(rate * mass)
+    nz = np.flatnonzero(parent)
     parts = np.zeros((k, parent.size), dtype=np.int64)
-    for j in np.flatnonzero(parent):
-        parts[:, j] = rng.multinomial(parent[j], probs)
-    return [parity_trace(SampleMultiset(parts[i])) for i in range(k)]
+    parts[:, nz] = rng.multinomial(parent[nz], np.full(k, 1.0 / k)).T
+    return [parity_trace(SampleMultiset(row)) for row in parts]
 
 
 def uniform_pair(n: int) -> PartialDistributionPair:

@@ -11,13 +11,13 @@ the block-count property.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _kernels
-from .core import PartialDistribution, PartialDistributionPair, parse_bits
-from .editdist import DensitySequence
+from .core import PartialDistribution, PartialDistributionPair, _split_poisson, parse_bits
+from .editdist import DensitySequence, psi, psi_inv
 from .parity import PTTesterConfig, test_uniformity_pt
 from .rng import generator
 from .verdict import Verdict
@@ -71,20 +71,23 @@ class TraceTestSpec:
             "uniform_n_block_promised",
         ):
             raise ValueError("unknown property")
+        if self.n_blocks < 1:
+            raise ValueError("need n_blocks >= 1")
         if self.property_name.startswith("uniform"):
-            if self.n_chars % self.n_blocks != 0:
-                raise ValueError("uniform block properties need n_blocks | n_chars")
+            if self.n_chars < 1 or self.n_chars % self.n_blocks != 0:
+                raise ValueError("uniform block properties need n_chars >= 1, n_blocks | n_chars")
             if self.n_blocks % 2 != 0:
                 raise ValueError("uniform block properties need an even block count")
 
 
 def uniform_block_string(n_chars: int, n_blocks: int, first: int = 1) -> str:
-    """The uniform n-block string of length n_chars starting with `first`."""
+    """The uniform n-block string of length n_chars starting with `first`: psi
+    of the uniform density on n_blocks values, after an empty 1-block for 0."""
     if n_chars % n_blocks:
         raise ValueError("block count must divide the length")
-    w = n_chars // n_blocks
-    sym, other = str(first % 2), str(1 - first % 2)
-    return "".join((sym if i % 2 == 0 else other) * w for i in range(n_blocks))
+    counts = np.ones(n_blocks + 1 - first % 2, dtype=np.int64)
+    counts[: 1 - first % 2] = 0
+    return psi(DensitySequence.from_counts(counts, n_blocks), n_chars).bits
 
 
 def deletion_trace(x: str, rho: float, seed) -> str:
@@ -101,8 +104,6 @@ def deletion_trace(x: str, rho: float, seed) -> str:
 
 def _zero_truncated_poisson(lam: float, size: int, rng) -> np.ndarray:
     """Poisson(lam) conditioned on being positive, via inverse transform."""
-    if size == 0:
-        return np.empty(0, dtype=np.int64)
     u = rng.random(size) * -np.expm1(-lam)  # uniform over (0, P[X>0])
     out = np.ones(size, dtype=np.int64)
     k = 1
@@ -131,8 +132,7 @@ def poissonize(trace: str, rho: float, seed) -> str:
     if not trace:
         return ""
     lam = math.log(1.0 / (1.0 - rho))
-    rng = generator(seed)
-    reps = _zero_truncated_poisson(lam, len(trace), rng)
+    reps = _zero_truncated_poisson(lam, len(trace), generator(seed))
     arr = np.frombuffer(trace.encode("ascii"), dtype=np.uint8)
     return np.repeat(arr, reps).tobytes().decode("ascii")
 
@@ -151,17 +151,7 @@ def split_traces(pi: DensitySequence, n_chars: int, k: int, rho: float,
     if not rho < 1.0 / (20.0 * math.sqrt(k * n_chars)):
         raise ValueError("rho too large for faithful splitting")
     lam = rho / (1.0 - rho)
-    rng = generator(seed)
-    counts = rng.poisson(k * lam * n_chars * pi.pi)
-    outs = [[] for _ in range(k)]
-    probs = np.full(k, 1.0 / k)
-    for i in np.flatnonzero(counts):
-        sym = "1" if i % 2 == 0 else "0"
-        parts = rng.multinomial(counts[i], probs)
-        for j in range(k):
-            if parts[j]:
-                outs[j].append(sym * int(parts[j]))
-    return ["".join(o) for o in outs]
+    return _split_poisson(k * lam * n_chars, pi.pi, k, seed)
 
 
 @dataclass(frozen=True)
@@ -171,8 +161,6 @@ class LearnedAlternating:
     first_value: int
     cut_after: np.ndarray  # positions p: the label flips between p and p+1
     error: int
-    piece_of_point: np.ndarray = field(repr=False)
-    value_of_point: np.ndarray = field(repr=False)
 
     @property
     def n_alternations(self) -> int:
@@ -184,50 +172,56 @@ class LearnedAlternating:
         return (self.first_value + piece) % 2
 
 
+def _fit_alternating(bits: np.ndarray, k: int) -> tuple[int, np.ndarray, int]:
+    """(label of point 0, cut indices, disagreements) of the best labeling of
+    `bits` with at most k flips; cut c flips the label between points c-1
+    and c.  Ties prefer fewer flips; the backtrack is one numpy call per cut.
+    """
+    if bits.size == 0:
+        return 1, np.empty(0, dtype=np.int64), 0
+    dp, choice = _kernels.alternating_fit_tables(bits, k)
+    j, v = np.unravel_index(int(np.argmin(dp)), dp.shape)
+    cuts, end = [], bits.size
+    # a state with j > 0 flips was entered by a flip, the last one before `end`
+    while j > 0:
+        end = int(np.flatnonzero(choice[:end, j, v])[-1])
+        cuts.append(end)
+        j, v = j - 1, 1 - v
+    return int(v), np.array(cuts[::-1], dtype=np.int64), int(dp.min())
+
+
 def learn_k_alternating(sample, k: int) -> LearnedAlternating:
     """Empirical-risk-minimizing at-most-k-alternating labeling.
 
     `sample` is a sequence of (position, bit) pairs sorted by position.
     A DP over (alternations used, current label) finds the labeling with
-    the fewest disagreements; ties prefer fewer alternations.
+    the fewest disagreements; ties prefer fewer alternations.  Each cut
+    sits midway between the positions of the two points it separates.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     pairs = list(sample)
-    if not pairs:
-        return LearnedAlternating(1, np.empty(0), 0,
-                                  np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
     positions = np.asarray([p for p, _ in pairs], dtype=np.float64)
-    bits = np.asarray([b for _, b in pairs], dtype=np.int64)
     if np.any(np.diff(positions) < 0):
         raise ValueError("sample must be sorted by position")
-    dp, choice = _kernels.alternating_fit_tables(bits, k)
-    j, v = np.unravel_index(int(np.argmin(dp)), dp.shape)
-    error = int(dp[j, v])
-    m = bits.size
-    values = np.empty(m, dtype=np.int64)
-    pieces = np.empty(m, dtype=np.int64)
-    cuts = []
-    for i in range(m - 1, -1, -1):
-        values[i] = v
-        pieces[i] = j
-        if choice[i, j, v]:
-            cuts.append(i)  # flip happened entering point i
-            j, v = j - 1, 1 - v
-    cuts.reverse()
-    cut_positions = np.array(
-        [(positions[c - 1] + positions[c]) / 2 if c > 0 else positions[0] - 0.5
-         for c in cuts]
-    )
-    first_value = int(values[0])
-    # piece indices relative to the first used piece
-    pieces -= pieces[0]
-    return LearnedAlternating(first_value, cut_positions, error, pieces, values)
+    first_value, cuts, error = _fit_alternating(
+        np.asarray([b for _, b in pairs], dtype=np.int64), k)
+    return LearnedAlternating(first_value, (positions[cuts - 1] + positions[cuts]) / 2, error)
 
 
-def test_n_block(trace: str, spec: TraceTestSpec,
-                 config: PTTesterConfig | None = None, seed=0,
-                 reject_threshold: float = 0.375) -> Verdict:
+_REJECT_FRACTION = 0.375
+
+
+def _learn_step(bits: np.ndarray, n_blocks: int, epsilon: float):
+    """(cut indices, statistics, rejected) of the best (n_blocks-1)-alternation
+    fit of `bits`, rejected when its disagreement rate exceeds (3/8) * epsilon."""
+    _, cuts, error = _fit_alternating(bits, n_blocks - 1)
+    stats = {"m": int(bits.size), "disagreement": error / bits.size,
+             "threshold": _REJECT_FRACTION * epsilon}
+    return cuts, stats, stats["disagreement"] > stats["threshold"]
+
+
+def test_n_block(trace: str, spec: TraceTestSpec, seed=0) -> Verdict:
     """Single-trace tester for "at most n blocks", by learn-then-verify.
 
     Poissonizes the trace and fits the best (n-1)-alternation labeling of
@@ -239,27 +233,19 @@ def test_n_block(trace: str, spec: TraceTestSpec,
     with some block-count-n string, so no distribution check follows.  An
     empty sample accepts vacuously.
     """
-    rng = generator(seed)
-    poi = poissonize(trace, spec.rho, rng) if trace else ""
-    bits = parse_bits(poi)
     params = {"property": "n_block", "n_blocks": spec.n_blocks,
               "epsilon": spec.epsilon, "rho": spec.rho}
-    if bits.size == 0:
+    if not trace:
         return Verdict(True, "none", {"m": 0, "warning": "empty sample"}, params)
-    model = learn_k_alternating(list(enumerate(bits)), spec.n_blocks - 1)
-    disagreement = model.error / bits.size
-    stats = {"m": int(bits.size), "disagreement": disagreement,
-             "threshold": reject_threshold * spec.epsilon}
-    if disagreement > reject_threshold * spec.epsilon:
-        return Verdict(False, "learn", stats, params)
-    return Verdict(True, "none", stats, params)
+    bits = parse_bits(poissonize(trace, spec.rho, seed))
+    _, stats, rejected = _learn_step(bits, spec.n_blocks, spec.epsilon)
+    return Verdict(not rejected, "learn" if rejected else "none", stats, params)
 
 
 _NEGATE = str.maketrans("01", "10")
 
 
-def _promised_uniform_verdict(poi: str, spec: TraceTestSpec,
-                              config: PTTesterConfig, m_eff: float) -> Verdict:
+def _promised_uniform_verdict(poi: str, spec: TraceTestSpec, config: PTTesterConfig) -> Verdict:
     """Run the parity-trace uniformity tester on a poissonized trace and on
     its negation; accept if either accepts.
 
@@ -269,6 +255,7 @@ def _promised_uniform_verdict(poi: str, spec: TraceTestSpec,
     """
     if config.mode == "auto":
         config = replace(config, mode="large_eps")
+    m_eff = spec.n_chars * math.log(1.0 / (1.0 - spec.rho))
     half = spec.n_blocks // 2
     eps = spec.epsilon / 2.0  # string-to-distribution farness loses a factor 2
     v1 = test_uniformity_pt(poi, half, eps, config, m=m_eff)
@@ -294,35 +281,27 @@ def test_uniform_n_block(trace: str, spec: TraceTestSpec,
     to be near-uniform.
     """
     config = config or PTTesterConfig()
-    rng = generator(seed)
     params = {"property": spec.property_name, "n_blocks": spec.n_blocks,
               "epsilon": spec.epsilon, "rho": spec.rho}
     if not trace:
         return Verdict(True, "none", {"m": 0, "warning": "empty sample"}, params)
-    poi = poissonize(trace, spec.rho, rng)
+    poi = poissonize(trace, spec.rho, seed)
     bits = parse_bits(poi)
-    if bits.size == 0:
-        return Verdict(True, "none", {"m": 0, "warning": "empty sample"}, params)
-    m_eff = spec.n_chars * math.log(1.0 / (1.0 - spec.rho))
     if spec.property_name == "uniform_n_block_promised":
-        return _promised_uniform_verdict(poi, spec, config, m_eff)
+        return _promised_uniform_verdict(poi, spec, config)
 
-    # no-promise: learn, test disagreement, then verify bucket uniformity
+    # no-promise: learn, test disagreement, then verify the piece sizes
     eps = spec.epsilon / 2.0
-    model = learn_k_alternating(list(enumerate(bits)), spec.n_blocks - 1)
-    disagreement = model.error / bits.size
-    stats = {"m": int(bits.size), "disagreement": disagreement,
-             "threshold": 0.375 * eps}
-    if disagreement > 0.375 * eps:
+    cuts, stats, rejected = _learn_step(bits, spec.n_blocks, eps)
+    if rejected:
         return Verdict(False, "learn", stats, params)
-    pieces = np.searchsorted(model.cut_after, np.arange(bits.size), side="left")
-    hist = np.bincount(pieces, minlength=spec.n_blocks).astype(np.float64)
-    if hist.size > spec.n_blocks:
-        return Verdict(False, "verify", {**stats, "pieces": int(hist.size)}, params)
+    # at most n_blocks - 1 cuts, so at most n_blocks non-empty pieces
+    hist = np.zeros(spec.n_blocks)
+    hist[: cuts.size + 1] = np.diff(cuts, prepend=0, append=bits.size)
     hist /= hist.sum()
     tv = float(np.abs(hist - 1.0 / spec.n_blocks).sum() / 2)
     stats["bucket_tv"] = tv
-    if tv > 0.375 * eps:
+    if tv > _REJECT_FRACTION * eps:
         return Verdict(False, "verify", stats, params)
     return Verdict(True, "none", stats, params)
 
@@ -358,8 +337,6 @@ def test_uniform_n_block_multitrace(traces: list[str], spec: TraceTestSpec,
 
 def trace_spec_distribution(x: str) -> PartialDistributionPair:
     """The odd/even pair matching psi_inv(x), padded to an even support."""
-    from .editdist import psi_inv
-
     dens = psi_inv(x)
     v = dens.pi
     if v.size % 2:

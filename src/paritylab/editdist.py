@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import linear_runs, parse_bits
+from .core import SampleMultiset, linear_runs, parity_trace, parse_bits
 
 __all__ = [
     "DensitySequence",
@@ -122,12 +122,7 @@ def str_of(pi: DensitySequence) -> FractionalString:
 
 def psi(pi: DensitySequence, n_chars: int) -> BlockString:
     """Blow the density sequence up into a binary string of length n_chars."""
-    counts = pi.exact_counts(n_chars)
-    parts = []
-    for i, c in enumerate(counts):
-        if c:
-            parts.append(("1" if i % 2 == 0 else "0") * int(c))
-    return BlockString("".join(parts))
+    return BlockString(parity_trace(SampleMultiset(pi.exact_counts(n_chars))))
 
 
 def psi_inv(x: BlockString | str) -> DensitySequence:
@@ -140,10 +135,8 @@ def psi_inv(x: BlockString | str) -> DensitySequence:
     if not bits:
         raise ValueError("cannot invert the empty string")
     values, lengths = BlockString(bits).runs()
-    counts = lengths.tolist()
-    if values[0] == 0:
-        counts = [0] + counts
-    return DensitySequence.from_counts(np.asarray(counts, dtype=np.int64), len(bits))
+    counts = np.concatenate(([0], lengths)) if values[0] == 0 else lengths
+    return DensitySequence.from_counts(counts, len(bits))
 
 
 def _as_bits_array(x) -> np.ndarray:

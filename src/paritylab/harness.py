@@ -22,7 +22,9 @@ from .collector import BaseGraph, CCTesterConfig, sample_confused, test_uniformi
 from .core import (
     PartialDistribution,
     PartialDistributionPair,
+    parity_trace,
     runs_from_counts,
+    sample_exact,
     sample_poissonized,
     uniform_pair,
 )
@@ -204,22 +206,22 @@ def _cc_instance(point: dict, seed) -> np.ndarray:
     if kind == "paired_far":
         inst = domino_instance(n, min(1.0, 2 * point["epsilon"]), False, seed)
         # reuse the odd part as a distribution over Z_n, rescaled to mass 1
-        p = inst.pair.p.weights * 2
-        return p
+        return inst.pair.p.weights * 2
     raise ValueError(f"unknown instance kind {kind!r}")
+
+
+def _config(cls, point: dict, c_field: str):
+    """`cls` at its defaults, overridden by the fields the point names; "c" sets `c_field`."""
+    kwargs = {name: point[name] for name in cls.__dataclass_fields__ if name in point}
+    if "c" in point:
+        kwargs[c_field] = point["c"]
+    return cls(**kwargs)
 
 
 def run_cc_trial(point: dict, seed) -> Verdict:
     """One confused-collector run: draw instance, sample, test."""
     n = point["n"]
-    cfg = CCTesterConfig(
-        epsilon=point["epsilon"],
-        eta=point["eta"],
-        alpha=point.get("alpha", 20.0),
-        beta=point.get("beta", 0.25),
-        L=point.get("L", 0.1),
-        c=point.get("c", 0.008),
-    )
+    cfg = _config(CCTesterConfig, point, "c")
     graph = BaseGraph(point.get("graph", "cycle"), n)
     m = point.get("m") or cfg.sample_size(n)
     s_inst, s_run = split_seed(seed, 2)
@@ -244,12 +246,7 @@ def _pt_instance(point: dict, seed) -> PartialDistributionPair:
 
 
 def run_pt_large_trial(point: dict, seed) -> Verdict:
-    cfg = PTTesterConfig(
-        alpha=point.get("alpha", 20.0),
-        beta=point.get("beta", 0.25),
-        gamma=point.get("gamma", 3.3),
-        c_m=point.get("c", 5.0),
-    )
+    cfg = _config(PTTesterConfig, point, "c_m")
     n = point["n"]
     m = point.get("m") or cfg.sample_size_large(n, point["epsilon"])
     s_inst, s_run = split_seed(seed, 2)
@@ -260,13 +257,11 @@ def run_pt_large_trial(point: dict, seed) -> Verdict:
 
 
 def run_pt_small_trial(point: dict, seed) -> Verdict:
-    cfg = PTTesterConfig(c_small=point.get("c", 4.0))
+    cfg = _config(PTTesterConfig, point, "c_small")
     n = point["n"]
     m = point.get("m") or cfg.sample_size_small(n, point["epsilon"])
     s_inst, s_run = split_seed(seed, 2)
     pair = _pt_instance(point, s_inst)
-    from .core import parity_trace, sample_exact
-
     trace = parity_trace(sample_exact(pair, m, s_run))
     return test_uniformity_pt_small(trace, n, point["epsilon"], cfg)
 

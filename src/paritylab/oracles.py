@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .collector import BaseGraph, _keep_probs, _subgraph_chunks, phi_from_keep_probs
+from .collector import _CHUNK_CELLS, BaseGraph, _keep_probs, _subgraph_chunks, phi_from_keep_probs
 from .rng import generator
 
 __all__ = [
@@ -146,8 +146,7 @@ def expected_y(p, phi: np.ndarray, m: float) -> float:
 
 
 def variance_components(p, graph: BaseGraph, m: float, trials: int, seed,
-                        eta: float | None = None, weights=None,
-                        chunk: int = 20000) -> tuple[float, float]:
+                        eta: float | None = None, weights=None) -> tuple[float, float]:
     """Monte Carlo split of Var[Y] into its subgraph and sampling parts.
 
     For each sampled subgraph the conditional pieces are exact:
@@ -162,6 +161,7 @@ def variance_components(p, graph: BaseGraph, m: float, trials: int, seed,
     rng = generator(seed)
     cond_mean = np.empty(trials)
     cond_var = np.empty(trials)
+    chunk = max(1, _CHUNK_CELLS // graph.n)
     for rows, keep in _subgraph_chunks(rng, keep_p, trials, chunk):
         values = np.broadcast_to(pw, (keep.shape[0], graph.n))
         mom = _kernels.bucket_moments(values, keep, graph.is_cycle)

@@ -1,5 +1,7 @@
 """Join matrices, eigenvalue bounds, and the bucket-count tester."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,17 @@ def test_phi_empirical_matches_expected():
     exact = phi_expected(g, 0.3)
     sigma = np.sqrt(exact * (1 - exact) / trials)
     assert np.all(np.abs(emp - exact) <= 4 * sigma + 1e-12)
+
+
+def test_phi_empirical_memory_is_bounded():
+    # chunks are sized in compared label pairs, not in trials
+    tracemalloc.start()
+    try:
+        phi_empirical(BaseGraph("cycle", 128), 0.3, 4096, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_phi_row_sum_closed_form():

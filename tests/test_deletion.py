@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from paritylab.core import parity_trace, sample_poissonized
+from paritylab.core import parity_trace, sample_poissonized, split_sample_k
 from paritylab.deletion import (
     DeletionChannel,
     TraceTestSpec,
@@ -130,6 +130,21 @@ def test_split_traces_against_independent_traces():
         split_out.extend(split_traces(pi, n_chars, k, rho, (6, t)))
     direct = [deletion_trace(x, rho, (7, t)) for t in range(trials * k)]
     assert hist_tv(run_histogram(split_out), run_histogram(direct)) <= 0.02
+
+
+def test_split_traces_is_split_sample_k_of_the_string_distribution():
+    # both splitters are one Poisson draw routed by one multinomial call:
+    # traces of x split from psi_inv(x) equal a split of x's odd/even pair
+    rng = np.random.default_rng(24)
+    for t in range(60):
+        n_chars = int(rng.integers(1, 200))
+        x = "".join(rng.choice(["0", "1"], size=n_chars))
+        k = int(rng.integers(1, 6))
+        rho = 0.99 / (20 * math.sqrt(k * n_chars)) * float(rng.random())
+        lam = rho / (1 - rho)
+        got = split_traces(psi_inv(x), n_chars, k, rho, (25, t))
+        want = split_sample_k(trace_spec_distribution(x), lam * n_chars, k, (25, t))
+        assert got == want
 
 
 def brute_best_error(bits, k):
@@ -266,6 +281,12 @@ def test_spec_validation():
         TraceTestSpec(n_chars=4096, n_blocks=15, epsilon=0.4, rho=0.1)
     TraceTestSpec(n_chars=4096, n_blocks=15, epsilon=0.4, rho=0.1,
                   property_name="n_block")  # odd block count fine here
+    with pytest.raises(ValueError, match="n_blocks"):
+        TraceTestSpec(n_chars=4096, n_blocks=0, epsilon=0.4, rho=0.1, property_name="n_block")
+    with pytest.raises(ValueError, match="n_chars"):
+        TraceTestSpec(n_chars=0, n_blocks=16, epsilon=0.4, rho=0.1)
+    TraceTestSpec(n_chars=0, n_blocks=16, epsilon=0.4, rho=0.1,
+                  property_name="n_block")  # the block-count tester never reads n_chars
 
 
 def test_uniform_block_inverse_distributions():

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from paritylab.collector import CCTesterConfig
 from paritylab.core import sample_poissonized
 from paritylab.editdist import DensitySequence, tv_distance, uniform_density
 from paritylab.harness import (
@@ -18,6 +19,18 @@ from paritylab.harness import (
     interval_far_distribution,
     wilson_interval,
 )
+from paritylab.harness import _config as trial_config
+from paritylab.parity import PTTesterConfig
+
+
+def test_trial_configs_start_from_the_dataclass_defaults():
+    # a point overrides the fields it names; its "c" is the tester's size constant
+    point = {"n": 8, "epsilon": 0.3, "c": 7.0, "gamma": 1.0}
+    assert trial_config(PTTesterConfig, point, "c_m") == PTTesterConfig(c_m=7.0, gamma=1.0)
+    assert trial_config(PTTesterConfig, point, "c_small") == PTTesterConfig(c_small=7.0,
+                                                                              gamma=1.0)
+    point = {"n": 8, "epsilon": 0.3, "eta": 0.5, "L": 0.2}
+    assert trial_config(CCTesterConfig, point, "c") == CCTesterConfig(0.3, 0.5, L=0.2)
 
 
 def test_domino_yes_is_exactly_uniform():
@@ -241,6 +254,20 @@ def test_cli_trace_empty_file_exits_2(tmp_path, prop):
                   "--eps", "0.3", "--property", prop)
     assert out.returncode == 2
     assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("args,missing", [
+    (["--N", "64", "--property", "n_block"], "n_blocks"),
+    (["--blocks", "4"], "n_chars"),
+    (["--blocks", "4", "--property", "uniform_n_block"], "n_chars"),
+])
+def test_cli_trace_missing_size_exits_2(tmp_path, args, missing):
+    tfile = tmp_path / "t.txt"
+    tfile.write_text("0110")
+    out = run_cli("test", "trace", "--trace", str(tfile), "--eps", "0.3", *args)
+    assert out.returncode == 2
+    assert out.stderr.startswith("error:") and missing in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 @pytest.mark.parametrize("tester,payload", [("pt", "1010"), ("cc", "[1, 2, 3]")])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from paritylab.collector import BaseGraph, CCTesterConfig
 from paritylab.collector import test_uniformity_cc as cc_verdict
 from paritylab.core import PartialDistribution, circular_runs
-from paritylab.deletion import TraceTestSpec
+from paritylab.deletion import TraceTestSpec, learn_k_alternating
 from paritylab.deletion import test_n_block as nblock_verdict
 from paritylab.deletion import test_uniform_n_block as ublock_verdict
 from paritylab.editdist import (
@@ -93,6 +93,23 @@ def test_non_finite_or_negative_vectors_rejected(case):
 @settings(max_examples=300, deadline=None)
 def test_psi_roundtrip(bits, _):
     assert psi(psi_inv(bits), len(bits)).bits == bits
+
+
+@given(st.lists(st.integers(0, 1), max_size=200), st.integers(0, 8),
+       st.floats(0.25, 4.0))
+@settings(max_examples=300, deadline=None)
+def test_learner_fit_is_optimal_and_consistent(bits, k, step):
+    # the learner's error is the exact block distance, and its labeling
+    # realizes that error with at most k strictly increasing cuts
+    m = len(bits)
+    positions = np.arange(m) * step
+    model = learn_k_alternating(list(zip(positions, bits)), k)
+    cuts = model.cut_after
+    assert cuts.size <= k and np.all(np.diff(cuts) > 0)
+    if m:
+        text = "".join(map(str, bits))
+        assert model.error == round(dist_to_nblock(text, k + 1) * m)
+    assert int(np.sum(model.predict(positions) != np.asarray(bits, dtype=int))) == model.error
 
 
 @given(bitstrings, bitstrings, bitstrings)
