@@ -78,16 +78,16 @@ class CCTesterConfig:
 
     `alpha` scales the bucket-count rejection threshold, `beta` the
     collision margin, `c` the sample-size formula, and `L` the lower
-    admissible resolution.  Defaults for (c, beta) come from the
-    calibration runs recorded in the acceptance suite.
+    admissible resolution.  The defaults are the calibrated values that
+    the acceptance suite checks.
     """
 
     epsilon: float
     eta: float
     alpha: float = 20.0
-    beta: float = 0.25
+    beta: float = 40.0
     L: float = 0.1
-    c: float = 0.008
+    c: float = 0.016
 
     def __post_init__(self):
         if not (0 < self.epsilon <= 2 and 0 < self.eta <= 1):
@@ -306,8 +306,8 @@ def test_uniformity_cc(x_counts, config: CCTesterConfig, n: int, m: float,
     if not (math.isfinite(max_x) and x.min(initial=0.0) >= 0):
         raise ValueError("bucket counts must be finite and non-negative")
     stats = {"max_count": max_x, "m": m, "n": n}
-    params = {"alpha": config.alpha, "beta": config.beta, "epsilon": config.epsilon,
-              "eta": config.eta, "graph": graph.kind}
+    params = {"alpha": config.alpha, "beta": config.beta, "c": config.c,
+              "epsilon": config.epsilon, "eta": config.eta, "graph": graph.kind}
     if max_x >= config.alpha * math.log(n):
         stats["threshold_max"] = config.alpha * math.log(n)
         return Verdict(False, "concentration", stats, params)

@@ -62,7 +62,7 @@ class TraceTestSpec:
     rho: float
     k_traces: int = 1
     property_name: str = "uniform_n_block_promised"
-    concat_eps_scale: float = 0.25
+    concat_eps_scale: float = 1.0
 
     def __post_init__(self):
         if self.property_name not in (
@@ -83,8 +83,8 @@ class TraceTestSpec:
 def uniform_block_string(n_chars: int, n_blocks: int, first: int = 1) -> str:
     """The uniform n-block string of length n_chars starting with `first`: psi
     of the uniform density on n_blocks values, after an empty 1-block for 0."""
-    if n_chars % n_blocks:
-        raise ValueError("block count must divide the length")
+    if n_blocks < 1 or n_chars % n_blocks:
+        raise ValueError("need a block count n_blocks >= 1 that divides the length")
     counts = np.ones(n_blocks + 1 - first % 2, dtype=np.int64)
     counts[: 1 - first % 2] = 0
     return psi(DensitySequence.from_counts(counts, n_blocks), n_chars).bits
@@ -204,8 +204,10 @@ def learn_k_alternating(sample, k: int) -> LearnedAlternating:
     positions = np.asarray([p for p, _ in pairs], dtype=np.float64)
     if np.any(np.diff(positions) < 0):
         raise ValueError("sample must be sorted by position")
-    first_value, cuts, error = _fit_alternating(
-        np.asarray([b for _, b in pairs], dtype=np.int64), k)
+    bits = np.asarray([b for _, b in pairs])
+    if not np.isin(bits, (0, 1)).all():
+        raise ValueError("bits must be 0 or 1")
+    first_value, cuts, error = _fit_alternating(bits.astype(np.int64), k)
     return LearnedAlternating(first_value, (positions[cuts - 1] + positions[cuts]) / 2, error)
 
 
@@ -244,6 +246,9 @@ def test_n_block(trace: str, spec: TraceTestSpec, seed=0) -> Verdict:
 
 _NEGATE = str.maketrans("01", "10")
 
+# the calibrated parity-trace constants for poissonized deletion traces
+_TRACE_CONFIG = PTTesterConfig(beta=0.12)
+
 
 def _promised_uniform_verdict(poi: str, spec: TraceTestSpec, config: PTTesterConfig) -> Verdict:
     """Run the parity-trace uniformity tester on a poissonized trace and on
@@ -264,7 +269,8 @@ def _promised_uniform_verdict(poi: str, spec: TraceTestSpec, config: PTTesterCon
     stats = {"m": float(len(poi)), "m_eff": m_eff,
              "accept_direct": v1.accept, "accept_negated": v2.accept}
     params = {"property": spec.property_name, "n_blocks": spec.n_blocks,
-              "epsilon": spec.epsilon, "rho": spec.rho, "inner_epsilon": eps}
+              "epsilon": spec.epsilon, "rho": spec.rho, "inner_epsilon": eps,
+              "beta": config.beta}
     if accept:
         return Verdict(True, "none", stats, params)
     return Verdict(False, v1.fired_step, stats, params)
@@ -278,19 +284,19 @@ def test_uniform_n_block(trace: str, spec: TraceTestSpec,
     runs the parity-trace uniformity tester on the result and on its
     bitwise negation.  No-promise mode learns an alternating labeling,
     checks the disagreement rate, and then requires the per-piece counts
-    to be near-uniform.
+    to be near-uniform.  Without `config` the calibrated `_TRACE_CONFIG`
+    runs.
     """
-    config = config or PTTesterConfig()
     params = {"property": spec.property_name, "n_blocks": spec.n_blocks,
               "epsilon": spec.epsilon, "rho": spec.rho}
     if not trace:
         return Verdict(True, "none", {"m": 0, "warning": "empty sample"}, params)
     poi = poissonize(trace, spec.rho, seed)
-    bits = parse_bits(poi)
     if spec.property_name == "uniform_n_block_promised":
-        return _promised_uniform_verdict(poi, spec, config)
+        return _promised_uniform_verdict(poi, spec, config or _TRACE_CONFIG)
 
     # no-promise: learn, test disagreement, then verify the piece sizes
+    bits = parse_bits(poi)
     eps = spec.epsilon / 2.0
     cuts, stats, rejected = _learn_step(bits, spec.n_blocks, eps)
     if rejected:

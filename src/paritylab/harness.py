@@ -36,7 +36,6 @@ __all__ = [
     "DominoInstance",
     "ExperimentSpec",
     "AcceptanceCurve",
-    "CALIBRATED",
     "domino_instance",
     "interval_far_distribution",
     "estimate_acceptance",
@@ -46,19 +45,6 @@ __all__ = [
     "calibrate_constants",
     "wilson_interval",
 ]
-
-# Constants pinned by the calibration runs that the acceptance suite
-# replays (see tests/test_acceptance.py).  The bucket-count cap and the
-# balance constant keep their analytical defaults; the sample-size
-# multipliers and collision margins are empirical.
-CALIBRATED = {
-    "cc": {"c": 0.016, "beta": 40.0, "width": 8},
-    "pt_large": {"c": 5.0, "beta": 0.0025},
-    "pt_small": {"c": 4.0},
-    "trace_uniform": {"budget_c": 2.5, "beta": 0.12, "concat_eps_scale": 1.0},
-    "trace_nblock": {"budget_c": 3.5},
-}
-
 
 @dataclass(frozen=True)
 class DominoInstance:
@@ -127,7 +113,6 @@ class ExperimentSpec:
     grid: list[dict]
     trials: int
     seed: int
-    schema: int = 1
 
     def __post_init__(self):
         if self.trials < 1:

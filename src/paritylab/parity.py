@@ -36,13 +36,13 @@ class PTTesterConfig:
 
     `gamma` controls the symbol-balance rejection, `alpha` the run-length
     cap, `beta` the collision margin, `K` the boundary between the large
-    and small distance regimes, and `c_m` the sample-size formula.  The
-    (c_m, beta) defaults come from the calibration runs recorded in the
-    acceptance suite.
+    and small distance regimes, and `c_m` and `c_small` the sample-size
+    formulas.  The defaults are the calibrated values that the acceptance
+    suite checks.
     """
 
     alpha: float = 20.0
-    beta: float = 0.25
+    beta: float = 0.0025
     gamma: float = 3.3
     K: float = 2.0
     c_m: float = 5.0
@@ -136,7 +136,7 @@ def test_uniformity_pt_large(trace, n: int, epsilon: float,
     if not m > 0:
         raise ValueError(f"the large-eps tester needs a positive sample size, got m={m}")
     params = {"alpha": config.alpha, "beta": config.beta, "gamma": config.gamma,
-              "epsilon": epsilon, "n": n, "m": m, "branch": "large_eps"}
+              "c_m": config.c_m, "epsilon": epsilon, "n": n, "m": m, "branch": "large_eps"}
     threshold_y = (m / (4 * n**2)) * phi_mu_sum(n, m) + config.beta * epsilon**2 * m**2 / n**2
     threshold_run = config.alpha * math.log(n)
     stats = {"threshold_Y": threshold_y, "threshold_run": threshold_run}
@@ -168,7 +168,7 @@ def test_uniformity_pt_small(trace, n: int, epsilon: float,
     config = config or PTTesterConfig()
     bits = trace.bits if isinstance(trace, RunLengthTrace) else trace
     values, lengths = linear_runs(bits)
-    params = {"epsilon": epsilon, "n": n, "branch": "small_eps"}
+    params = {"c_small": config.c_small, "epsilon": epsilon, "n": n, "branch": "small_eps"}
     ones = int(np.sum(values == 1))
     zeros = values.size - ones
     stats = {"one_runs": ones, "zero_runs": zeros, "m": float(len(bits))}

@@ -2,8 +2,8 @@
 
 Each test prints one PASS line (visible under ``pytest -s``); a failure
 surfaces as an ordinary assertion error.  All randomness is seeded, all
-tolerances are fixed here, and the calibrated tester constants come from
-paritylab.harness.CALIBRATED.
+tolerances are fixed here, and every tester runs at the calibrated
+constants that its config ships as defaults.
 """
 
 import itertools
@@ -41,7 +41,6 @@ from paritylab.editdist import (
     tv_distance,
 )
 from paritylab.harness import (
-    CALIBRATED,
     domino_instance,
     run_cc_trial,
     run_pt_large_trial,
@@ -50,6 +49,13 @@ from paritylab.harness import (
 from paritylab.oracles import expected_y, uniform_conjugate, relative_concentration
 from paritylab.parity import PTTesterConfig
 from paritylab.rng import generator, split_seed
+
+
+# Experiment recipes, not tester constants: the arc width of the cc far
+# instance, and the leading constants of the trace budgets (criterion 11).
+CC_FAR_WIDTH = 8
+TRACE_UNIFORM_BUDGET_C = 2.5
+TRACE_NBLOCK_BUDGET_C = 3.5
 
 
 def report(num, text):
@@ -133,13 +139,12 @@ def test_criterion_3_eigenvalue_grid():
 
 def test_criterion_4_cc_separation():
     t0 = time.time()
-    cal = CALIBRATED["cc"]
-    base = {"n": 256, "epsilon": 0.3, "eta": 0.5, "c": cal["c"], "beta": cal["beta"]}
+    base = {"n": 256, "epsilon": 0.3, "eta": 0.5}
     runs = 200
     seeds_yes = split_seed(4004, runs)
     seeds_no = split_seed(4005, runs)
     yes = sum(run_cc_trial(base, s).accept for s in seeds_yes)
-    far_point = dict(base, instance="interval_far", width=cal["width"])
+    far_point = dict(base, instance="interval_far", width=CC_FAR_WIDTH)
     no = sum(not run_cc_trial(far_point, s).accept for s in seeds_no)
     elapsed = time.time() - t0
     assert yes >= 0.85 * runs, f"uniform accepted only {yes}/{runs}"
@@ -152,8 +157,8 @@ def test_criterion_4_cc_separation():
 # 5. parity-trace separation at calibrated constants + sublinear growth
 # -------------------------------------------------------------------------
 
-def _pt_rates(n, eps, m, beta, trials, seed_base):
-    yes_pt = {"n": n, "epsilon": eps, "beta": beta, "m": m}
+def _pt_rates(n, eps, m, trials, seed_base):
+    yes_pt = {"n": n, "epsilon": eps, "m": m}
     no_pt = dict(yes_pt, instance="paired_far")
     yes = sum(run_pt_large_trial(yes_pt, s).accept for s in split_seed(seed_base, trials))
     no = sum(
@@ -165,11 +170,9 @@ def _pt_rates(n, eps, m, beta, trials, seed_base):
 
 def test_criterion_5_pt_large_separation_and_scaling():
     t0 = time.time()
-    cal = CALIBRATED["pt_large"]
-    cfg = PTTesterConfig(c_m=cal["c"], beta=cal["beta"])
     n, eps, runs = 256, 0.3, 200
-    m = cfg.sample_size_large(n, eps)
-    yes_rate, no_rate = _pt_rates(n, eps, m, cal["beta"], runs, 5005)
+    m = PTTesterConfig().sample_size_large(n, eps)
+    yes_rate, no_rate = _pt_rates(n, eps, m, runs, 5005)
     assert yes_rate >= 0.85, f"uniform accepted at rate {yes_rate}"
     assert no_rate >= 0.85, f"paired-bias instance rejected at rate {no_rate}"
 
@@ -177,7 +180,7 @@ def test_criterion_5_pt_large_separation_and_scaling():
     def m_star(nn, trials=100):
         m_grid = 400
         while m_grid < 10**6:
-            y, r = _pt_rates(nn, eps, m_grid, cal["beta"], trials, 5050 + nn)
+            y, r = _pt_rates(nn, eps, m_grid, trials, 5050 + nn)
             if y >= 0.85 and r >= 0.85:
                 return m_grid
             m_grid = int(m_grid * 1.25)
@@ -201,12 +204,10 @@ def test_criterion_5_pt_large_separation_and_scaling():
 def test_criterion_6_small_eps_tester():
     t0 = time.time()
     n, eps, runs = 32, 0.05, 200
-    c_small = CALIBRATED["pt_small"]["c"]
-    cfg = PTTesterConfig(c_small=c_small)
-    m = cfg.sample_size_small(n, eps)
+    m = PTTesterConfig().sample_size_small(n, eps)
     floor = 2 * (2 * n) * math.log(100 * 2 * n)
     assert m >= floor  # coupon-collection floor enforced
-    yes_pt = {"n": n, "epsilon": eps, "c": c_small}
+    yes_pt = {"n": n, "epsilon": eps}
     no_pt = dict(yes_pt, instance="paired_far", bias=0.4)  # TV = 0.1 > eps
     yes = sum(run_pt_small_trial(yes_pt, s).accept for s in split_seed(6006, runs))
     no = sum(not run_pt_small_trial(no_pt, s).accept for s in split_seed(6007, runs))
@@ -371,12 +372,9 @@ def test_criterion_10_poissonize_pipeline():
 def test_criterion_11_trace_testers():
     t0 = time.time()
     N, n, eps, runs = 4096, 16, 0.4, 200
-    cal = CALIBRATED["trace_uniform"]
-    budget = cal["budget_c"] * (n / eps) ** 0.8 * math.log(n) ** 1.4
+    budget = TRACE_UNIFORM_BUDGET_C * (n / eps) ** 0.8 * math.log(n) ** 1.4
     rho = 1 - math.exp(-budget / N)
-    cfg = PTTesterConfig(beta=cal["beta"])
-    spec = TraceTestSpec(n_chars=N, n_blocks=n, epsilon=eps, rho=rho,
-                         concat_eps_scale=cal["concat_eps_scale"])
+    spec = TraceTestSpec(n_chars=N, n_blocks=n, epsilon=eps, rho=rho)
 
     u1 = uniform_block_string(N, n, 1)
     u0 = uniform_block_string(N, n, 0)
@@ -394,9 +392,9 @@ def test_criterion_11_trace_testers():
             chans = split_seed(s, k + 1)
             traces = [deletion_trace(x, use_spec.rho, cs) for cs in chans[:k]]
             if k == 1:
-                v = ublock_verdict(traces[0], use_spec, cfg, seed=chans[-1])
+                v = ublock_verdict(traces[0], use_spec, seed=chans[-1])
             else:
-                v = multi_verdict(traces, use_spec, cfg, seed=chans[-1])
+                v = multi_verdict(traces, use_spec, seed=chans[-1])
             ok += v.accept if accept else (not v.accept)
         return ok
 
@@ -409,21 +407,19 @@ def test_criterion_11_trace_testers():
 
     # multi-trace variant: per-trace budget reduced by the k-scaling factors
     k = 4
-    m1 = cal["budget_c"] * (
+    m1 = TRACE_UNIFORM_BUDGET_C * (
         n**0.8 / (k**0.2 * eps**0.8) * math.log(n) ** 1.4
         + math.sqrt(n) / (math.sqrt(k) * eps**2)
     )
     rho_k = 1 - math.exp(-m1 / N)
-    spec_k = TraceTestSpec(n_chars=N, n_blocks=n, epsilon=eps, rho=rho_k,
-                           k_traces=k, concat_eps_scale=cal["concat_eps_scale"])
+    spec_k = TraceTestSpec(n_chars=N, n_blocks=n, epsilon=eps, rho=rho_k, k_traces=k)
     rk_u1 = rate(u1, 11004, k=k, use_spec=spec_k)
     rk_far = rate(far, 11005, accept=False, k=k, use_spec=spec_k)
     assert rk_u1 >= 2 * runs / 3, f"multi-trace u1 accepted only {rk_u1}/{runs}"
     assert rk_far >= 2 * runs / 3, f"multi-trace far rejected only {rk_far}/{runs}"
 
     # block-count tester at budget C * n / eps
-    c_nb = CALIBRATED["trace_nblock"]["budget_c"]
-    rho_nb = c_nb * n / eps / N
+    rho_nb = TRACE_NBLOCK_BUDGET_C * n / eps / N
     spec_nb = TraceTestSpec(n_chars=N, n_blocks=n, epsilon=eps, rho=rho_nb,
                             property_name="n_block")
     alternating = "10" * (N // 2)

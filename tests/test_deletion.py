@@ -190,6 +190,12 @@ def test_learner_requires_sorted_positions():
         learn_k_alternating([(3, 1), (0, 0)], 1)
 
 
+@pytest.mark.parametrize("bad", [2, -1, 0.5])
+def test_learner_rejects_non_binary_bits(bad):
+    with pytest.raises(ValueError):
+        learn_k_alternating([(0, 0), (1, 1), (2, bad)], 0)
+
+
 DESK = dict(n_chars=4096, n_blocks=16, epsilon=0.4)
 
 

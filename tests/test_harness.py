@@ -159,14 +159,16 @@ def test_pt_large_trial_never_builds_the_trace(monkeypatch):
 
 
 def test_calibration_trivial_regime():
+    # beta=0.25 pins this regime's margin: at the shipped 0.0025 the search ends at
+    # c=7.5 with a last probe that accepts uniform at 0.77
     out = calibrate_constants(
-        "pt_large", 16, 1.9, target_error=0.2, trials=30, seed=5,
+        "pt_large", 16, 1.9, target_error=0.2, trials=30, seed=5, beta=0.25,
         extra={"bias": 1.0},
     )
     assert out["c"] <= 64
     assert out["audit"][-1]["yes_accept"] >= 0.8
     rerun = calibrate_constants(
-        "pt_large", 16, 1.9, target_error=0.2, trials=30, seed=5,
+        "pt_large", 16, 1.9, target_error=0.2, trials=30, seed=5, beta=0.25,
         extra={"bias": 1.0},
     )
     assert rerun["c"] == out["c"]  # same seeds, same result
@@ -233,8 +235,26 @@ def test_cli_instance_and_errors(tmp_path):
     assert payload["n"] == 4
     out = run_cli("instance", "paired", "--n", "5", "--eps", "0.4")
     assert out.returncode == 2  # odd n violates the generator precondition
+    out = run_cli("instance", "uniform-blocks", "--N", "64", "--blocks", "0")
+    assert out.returncode == 2 and "Traceback" not in out.stderr
     out = run_cli("nonsense")
     assert out.returncode == 1
+
+
+@pytest.mark.parametrize("args,payload,shipped", [
+    (["pt", "--n", "8", "--mode", "large_eps"], "1100101101001011", {"beta": 0.0025, "c_m": 5.0}),
+    (["pt", "--n", "8", "--mode", "small_eps"], "1100101101001011", {"c_small": 4.0}),
+    (["cc", "--n", "16", "--override"], "[1, 2, 3]", {"beta": 40.0, "c": 0.016}),
+    (["trace", "--N", "64", "--blocks", "4"], "110010", {"beta": 0.12}),
+    (["trace", "--N", "64", "--blocks", "4"], "110010\n0110", {"beta": 0.12, "concat_eps_scale": 1.0}),
+], ids=["pt_large", "pt_small", "cc", "trace", "multitrace"])
+def test_cli_testers_report_the_calibrated_constants(tmp_path, args, payload, shipped):
+    tfile = tmp_path / "in.txt"
+    tfile.write_text(payload)
+    out = run_cli("test", *args, "--trace", str(tfile), "--eps", "0.3")
+    assert out.returncode == 0, out.stderr
+    params = json.loads(out.stdout)["params"]
+    assert {key: params[key] for key in shipped} == shipped
 
 
 def test_cli_pt_large_empty_trace_exits_2(tmp_path):
