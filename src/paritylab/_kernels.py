@@ -126,27 +126,40 @@ def levenshtein(a: np.ndarray, b: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 
 def alternating_fit_tables(bits: np.ndarray, k: int):
-    """DP over (cuts used, current label); returns (final dp, choice tensor).
+    """DP over (flips used, current label); returns (final dp, choice tensor).
 
-    choice[i, j, v] == 1 when the optimal path entering point i in state
-    (j, v) arrived via a label flip from (j-1, 1-v).
+    dp[j, v] is the fewest disagreements of a labeling of all points with
+    exactly j flips and last label v.  choice[j, v, i] is True when the best
+    path entering point i in state (j, v) came by a flip from (j-1, 1-v);
+    ties keep the label.
+
+    Bellman's segmentation DP (CACM 4(6), 1961) in min-plus prefix form:
+    with C_v(i) the count of the first i points that disagree with v and
+    S_j[v][i] the best cost of i points in state (j, v), T = S_j[v] - C_v
+    obeys T[i+1] = min(T[i], S_{j-1}[1-v][i] - C_v(i)).  So each flip count
+    is one running minimum over both labels, a flip is taken where it drops,
+    and two layers are held.  Layers j > m need more flips than points: they
+    stay at _INF with no flips, so at most min(k, m) passes run.
     """
     bits = np.asarray(bits, dtype=np.int64)
-    m = len(bits)
+    m = bits.size
+    cost = np.zeros((2, m + 1), dtype=np.int64)  # C_v(i)
+    np.cumsum(bits != 0, out=cost[0, 1:])
+    np.cumsum(bits != 1, out=cost[1, 1:])
+    # S_{j-1}[1-v][i] - C_v(i) = T_{j-1}[1-v][i] + (C_{1-v}(i) - C_v(i))
+    shift = cost[::-1, :m] - cost[:, :m]
     dp = np.full((k + 1, 2), _INF, dtype=np.int64)
-    dp[0, :] = 0
-    choice = np.zeros((m, k + 1, 2), dtype=np.uint8)
-    flip = np.full((k + 1, 2), _INF, dtype=np.int64)
-    for i in range(m):
-        flip[0, :] = _INF
-        flip[1:, 0] = dp[:-1, 1]
-        flip[1:, 1] = dp[:-1, 0]
-        use_flip = flip < dp
-        choice[i] = use_flip
-        dp = np.where(use_flip, flip, dp)
-        b = bits[i]
-        dp[:, 0] += 1 if b != 0 else 0
-        dp[:, 1] += 1 if b != 1 else 0
+    choice = np.zeros((k + 1, 2, m), dtype=np.bool_)
+    dp[0] = cost[:, m]
+    prev = np.zeros((2, m + 1), dtype=np.int64)  # T_0
+    cur = np.empty_like(prev)
+    for j in range(1, min(k, m) + 1):
+        cur[:, 0] = _INF  # T_j[v][0] = S_j[v][0]: no flip before the first point
+        np.add(prev[::-1, :m], shift, out=cur[:, 1:])
+        np.minimum.accumulate(cur, axis=1, out=cur)
+        np.less(cur[:, 1:], cur[:, :m], out=choice[j])
+        dp[j] = cur[:, m] + cost[:, m]
+        prev, cur = cur, prev
     return dp, choice
 
 

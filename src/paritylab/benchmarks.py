@@ -1,7 +1,8 @@
 """Best-of-k wall time of every kernel in ``paritylab._kernels``.
 
 Run as ``python -m paritylab.benchmarks`` or ``paritylab bench``.  Each
-kernel has one implementation, so each row shows one time.
+kernel has one implementation, so each row shows one time, beside the
+shape of the case it ran.
 """
 
 from __future__ import annotations
@@ -24,37 +25,42 @@ def _time(fn, *args, repeats: int = 3) -> float:
 
 
 def _cases():
+    """(kernel name, shape, arguments) of every timed case."""
     rng = generator(1234)
     n = 256
     trials = 4000
     keep = rng.random((trials, n)) < 0.5
     values = rng.poisson(4.0, size=(trials, n)).astype(np.float64)
-    yield "bucket_labels", (keep, n, True)
-    yield "bucket_sums", (values, _kernels.bucket_labels(keep, n, True))
-    yield "bucket_moments", (values, keep, True)
+    shape = f"trials={trials} n={n}"
+    yield "bucket_labels", shape, (keep, n, True)
+    yield "bucket_sums", shape, (values, _kernels.bucket_labels(keep, n, True))
+    yield "bucket_moments", shape, (values, keep, True)
 
     a = (rng.random(4096) < 0.5).astype(np.uint8)
     b = a.copy()
     flips = rng.choice(4096, size=200, replace=False)
     b[flips] ^= 1
-    yield "levenshtein", (a, b)
+    yield "levenshtein", "N=M=4096", (a, b)
 
-    bits = (rng.random(20000) < 0.5).astype(np.int64)
-    yield "alternating_fit_tables", (bits, 15)
+    # (20000, 15), and the desk_large shape of dist_to_nblock
+    for size, k in ((20000, 15), (16384, 63)):
+        bits = (rng.random(size) < 0.5).astype(np.int64)
+        yield "alternating_fit_tables", f"N={size} k={k}", (bits, k)
 
     p = rng.random(256)
     p /= p.sum()
     q = rng.random(256)
     q /= 2 * q.sum()
-    yield "interval_scan", (p, q, 1e-3, True)
+    yield "interval_scan", "n=256", (p, q, 1e-3, True)
 
 
 def run(repeats: int = 3) -> None:
-    header = f"{'kernel':<24}{'best (s)':>12}"
+    header = f"{'kernel':<24}{'shape':<20}{'best (s)':>12}"
     print(header)
     print("-" * len(header))
-    for name, args in _cases():
-        print(f"{name:<24}{_time(getattr(_kernels, name), *args, repeats=repeats):>12.4f}")
+    for name, shape, args in _cases():
+        best = _time(getattr(_kernels, name), *args, repeats=repeats)
+        print(f"{name:<24}{shape:<20}{best:>12.4f}")
 
 
 if __name__ == "__main__":

@@ -184,7 +184,7 @@ def _fit_alternating(bits: np.ndarray, k: int) -> tuple[int, np.ndarray, int]:
     cuts, end = [], bits.size
     # a state with j > 0 flips was entered by a flip, the last one before `end`
     while j > 0:
-        end = int(np.flatnonzero(choice[:end, j, v])[-1])
+        end = int(np.flatnonzero(choice[j, v, :end])[-1])
         cuts.append(end)
         j, v = j - 1, 1 - v
     return int(v), np.array(cuts[::-1], dtype=np.int64), int(dp.min())

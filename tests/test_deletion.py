@@ -1,16 +1,20 @@
 """Deletion channel, poissonization, splitting, and the trace testers."""
 
+import hashlib
 import itertools
+import json
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from paritylab import _kernels
 from paritylab.core import parity_trace, sample_poissonized, split_sample_k
 from paritylab.deletion import (
     DeletionChannel,
     TraceTestSpec,
+    _fit_alternating,
     deletion_trace,
     learn_k_alternating,
     poissonize,
@@ -21,7 +25,7 @@ from paritylab.deletion import test_n_block as nblock_verdict
 from paritylab.deletion import test_uniform_n_block as ublock_verdict
 from paritylab.deletion import test_uniform_n_block_multitrace as multi_verdict
 from paritylab.deletion import trace_spec_distribution
-from paritylab.editdist import psi_inv, uniform_density
+from paritylab.editdist import dist_to_nblock, psi_inv, uniform_density
 
 
 def test_channel_validation():
@@ -196,6 +200,82 @@ def test_learner_rejects_non_binary_bits(bad):
         learn_k_alternating([(0, 0), (1, 1), (2, bad)], 0)
 
 
+def loop_fit_tables(bits, k):
+    """Reference for `alternating_fit_tables`: the DP one point at a time.
+    Its choice tensor is indexed (point, flips, label)."""
+    bits = np.asarray(bits, dtype=np.int64)
+    inf = _kernels._INF
+    dp = np.full((k + 1, 2), inf, dtype=np.int64)
+    dp[0, :] = 0
+    choice = np.zeros((bits.size, k + 1, 2), dtype=np.bool_)
+    flip = np.full((k + 1, 2), inf, dtype=np.int64)
+    for i, b in enumerate(bits):
+        flip[1:, 0] = dp[:-1, 1]
+        flip[1:, 1] = dp[:-1, 0]
+        choice[i] = flip < dp
+        dp = np.where(choice[i], flip, dp)
+        dp[:, 0] += b != 0
+        dp[:, 1] += b != 1
+    return dp, choice
+
+
+def loop_fit(bits, k):
+    """Reference for `_fit_alternating`: the loop's best final state, then a
+    backtrack over its choice tensor."""
+    dp, choice = loop_fit_tables(bits, k)
+    j, v = np.unravel_index(int(np.argmin(dp)), dp.shape)
+    cuts, end = [], len(bits)
+    while j > 0:
+        end = int(np.flatnonzero(choice[:end, j, v])[-1])
+        cuts.append(end)
+        j, v = j - 1, 1 - v
+    return int(v), cuts[::-1], int(dp.min())
+
+
+def assert_fit_tables_match_loop(bits, k):
+    dp, choice = _kernels.alternating_fit_tables(bits, k)
+    ref_dp, ref_choice = loop_fit_tables(bits, k)
+    assert dp.shape == (k + 1, 2) and choice.shape == (k + 1, 2, len(bits))
+    rows = min(k, len(bits)) + 1
+    np.testing.assert_array_equal(dp[:rows], ref_dp[:rows])
+    np.testing.assert_array_equal(choice[:rows], ref_choice.transpose(1, 2, 0)[:rows])
+    # a layer past m needs more flips than there are points
+    assert (dp[rows:] >= _kernels._INF).all() and not choice[rows:].any()
+
+
+def test_alternating_fit_matches_loop_on_random_inputs():
+    rng = np.random.default_rng(40)
+    for m in (0, 1):
+        for k in (0, 1, 5):
+            for b in (0, 1):
+                assert_fit_tables_match_loop(np.full(m, b, dtype=np.int64), k)
+    for t in range(3000):
+        m = int(rng.integers(0, 61))
+        k = int(rng.integers(0, 8))
+        density = (0.05, 0.5, 0.95)[t % 3]
+        assert_fit_tables_match_loop((rng.random(m) < density).astype(np.int64), k)
+
+
+@pytest.mark.parametrize("N,k", [(4096, 15), (16384, 63)])
+def test_alternating_fit_matches_loop_on_long_inputs(N, k):
+    rng = np.random.default_rng([42, N])
+    # blocks with 10% noise, so the deep layers hold real cuts
+    bits = (np.arange(N) * (k + 1) // N) % 2 ^ (rng.random(N) < 0.1)
+    assert_fit_tables_match_loop(bits.astype(np.int64), k)
+
+
+@pytest.mark.parametrize("m,k", [(1, 4), (3, 40), (8, 255), (20, 63)])
+def test_alternating_fit_more_flips_than_points(m, k):
+    rng = np.random.default_rng([43, m, k])
+    for t in range(30):
+        bits = (rng.random(m) < (0.05, 0.5, 0.95)[t % 3]).astype(np.int64)
+        assert_fit_tables_match_loop(bits, k)
+        first, cuts, error = _fit_alternating(bits, k)
+        assert (first, cuts.tolist(), error) == loop_fit(bits, k)
+        x = "".join(map(str, bits))
+        assert dist_to_nblock(x, k + 1) == loop_fit_tables(bits, k)[0].min() / m
+
+
 DESK = dict(n_chars=4096, n_blocks=16, epsilon=0.4)
 
 
@@ -314,3 +394,90 @@ def test_multitrace_total_characters_concentrate():
         for t in range(1000)
     ]
     assert abs(np.mean(totals) - k * rho * N) <= 0.05 * k * rho * N
+
+
+def _digest(record) -> str:
+    return hashlib.sha256(json.dumps(record).encode()).hexdigest()[:16]
+
+
+def trace_tester_digests() -> dict:
+    """Digests of the verdict JSON of `test_n_block` and of the no-promise
+    `test_uniform_n_block`, and of `learn_k_alternating`'s model, at two
+    benchmark shapes and three seeds."""
+    out = {}
+    for N, n, rho_free in ((4096, 16, 0.75), (65536, 64, 0.25)):
+        eps = 0.4
+        piece = N // n
+        skew = np.tile(np.repeat([1, 0], [2 * piece - piece // 8, piece // 8]), n // 2)
+        skew ^= np.random.default_rng([44, N]).random(N) < 0.03  # so the fits disagree
+        strings = {"u1": uniform_block_string(N, n, 1), "alternating": "10" * (N // 2),
+                   "noisy_skew": "".join(map(str, skew))}
+        specs = {"nblock": TraceTestSpec(N, n, eps, rho=3.5 * n / eps / N, property_name="n_block"),
+                 "nopromise": TraceTestSpec(N, n, eps, rho=rho_free,
+                                            property_name="uniform_n_block")}
+        for seed in range(3):
+            for label, x in strings.items():
+                for kind, spec in specs.items():
+                    trace = deletion_trace(x, spec.rho, (44, seed))
+                    tester = nblock_verdict if kind == "nblock" else ublock_verdict
+                    verdict = tester(trace, spec, seed=(45, seed))
+                    out[f"{kind} N={N} {label} seed={seed}"] = _digest(verdict.to_json())
+            rng = np.random.default_rng([46, N, seed])
+            positions = np.sort(rng.random(N // 4)) * N
+            bits = (np.frombuffer(strings["u1"].encode(), np.uint8)[positions.astype(np.int64)]
+                    - ord("0")) ^ (rng.random(positions.size) < 0.05)
+            model = learn_k_alternating(list(zip(positions.tolist(), bits.tolist())), n - 1)
+            out[f"learn N={N} seed={seed}"] = _digest(
+                [model.first_value, model.cut_after.tolist(), model.error])
+    return out
+
+
+# recorded from the per-point DP, before the prefix-minimum kernel replaced it
+PINNED_TRACE_TESTER_DIGESTS = {
+    "nblock N=4096 u1 seed=0": "68cf3b596f344a2d",
+    "nopromise N=4096 u1 seed=0": "f604cb4771931e04",
+    "nblock N=4096 alternating seed=0": "e67ace42878cdee5",
+    "nopromise N=4096 alternating seed=0": "10f90b7e1e39517e",
+    "nblock N=4096 noisy_skew seed=0": "a5e6a96fd06a4acc",
+    "nopromise N=4096 noisy_skew seed=0": "93b55195799661dc",
+    "learn N=4096 seed=0": "018fb2dc4c3ea9a5",
+    "nblock N=4096 u1 seed=1": "d5777d501f4bca17",
+    "nopromise N=4096 u1 seed=1": "ee11a99edf691761",
+    "nblock N=4096 alternating seed=1": "cd0b536e7374e535",
+    "nopromise N=4096 alternating seed=1": "c8cc25aef41eeab8",
+    "nblock N=4096 noisy_skew seed=1": "d5777d501f4bca17",
+    "nopromise N=4096 noisy_skew seed=1": "150b43935fbda0e0",
+    "learn N=4096 seed=1": "2145a605d34b6356",
+    "nblock N=4096 u1 seed=2": "462b73124f74e15d",
+    "nopromise N=4096 u1 seed=2": "34c352f71b4b1bda",
+    "nblock N=4096 alternating seed=2": "2ec28a00114a61bf",
+    "nopromise N=4096 alternating seed=2": "6453c2c9f7b51481",
+    "nblock N=4096 noisy_skew seed=2": "bc7ac72ea8d6d55c",
+    "nopromise N=4096 noisy_skew seed=2": "16b45dfb8a10c31c",
+    "learn N=4096 seed=2": "916620a2feb39440",
+    "nblock N=65536 u1 seed=0": "091b33f64648ec43",
+    "nopromise N=65536 u1 seed=0": "4935d8662afd812a",
+    "nblock N=65536 alternating seed=0": "5f81e2310063f7c2",
+    "nopromise N=65536 alternating seed=0": "648d179748189114",
+    "nblock N=65536 noisy_skew seed=0": "0995343189684bbe",
+    "nopromise N=65536 noisy_skew seed=0": "35f505287ad8005d",
+    "learn N=65536 seed=0": "fe122ee0f9107ec2",
+    "nblock N=65536 u1 seed=1": "5035735bbcb505fe",
+    "nopromise N=65536 u1 seed=1": "71336bfafd20e81a",
+    "nblock N=65536 alternating seed=1": "ebcf20bd42defee4",
+    "nopromise N=65536 alternating seed=1": "d98d1917ba5dde8c",
+    "nblock N=65536 noisy_skew seed=1": "340460210e5f2bf6",
+    "nopromise N=65536 noisy_skew seed=1": "9ab1de923107e5d8",
+    "learn N=65536 seed=1": "957a059932282440",
+    "nblock N=65536 u1 seed=2": "e808c385947dccfe",
+    "nopromise N=65536 u1 seed=2": "72f37c79a6c1bb77",
+    "nblock N=65536 alternating seed=2": "6f911b57a77e053e",
+    "nopromise N=65536 alternating seed=2": "e31673fbda652764",
+    "nblock N=65536 noisy_skew seed=2": "153fce2b0506c827",
+    "nopromise N=65536 noisy_skew seed=2": "3475801f00effd30",
+    "learn N=65536 seed=2": "ff987bb4e7b8a78e",
+}
+
+
+def test_trace_tester_outputs_are_pinned():
+    assert trace_tester_digests() == PINNED_TRACE_TESTER_DIGESTS

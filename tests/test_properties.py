@@ -160,3 +160,4 @@ def test_benchmark_smoke(capsys):
     benchmarks.run(repeats=1)
     out = capsys.readouterr().out
     assert "kernel" in out and "bucket_labels" in out
+    assert "N=16384 k=63" in out  # rows name their shapes
