@@ -1,8 +1,10 @@
-"""Best-of-k wall time of every kernel in ``paritylab._kernels``.
+"""Best-of-k wall time of every kernel in ``paritylab._kernels``, and of
+one `estimate_acceptance` grid point per tester.
 
 Run as ``python -m paritylab.benchmarks`` or ``paritylab bench``.  Each
 kernel has one implementation, so each row shows one time, beside the
-shape of the case it ran.
+shape of the case it ran.  The tester rows run 30 trials of the uniform
+instance at the acceptance suite's shapes.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import time
 import numpy as np
 
 from . import _kernels
+from .harness import ExperimentSpec, estimate_acceptance
 from .rng import generator
 
 
@@ -25,42 +28,52 @@ def _time(fn, *args, repeats: int = 3) -> float:
 
 
 def _cases():
-    """(kernel name, shape, arguments) of every timed case."""
+    """(name, shape, function, arguments) of every timed case."""
     rng = generator(1234)
     n = 256
     trials = 4000
     keep = rng.random((trials, n)) < 0.5
     values = rng.poisson(4.0, size=(trials, n)).astype(np.float64)
     shape = f"trials={trials} n={n}"
-    yield "bucket_labels", shape, (keep, n, True)
-    yield "bucket_sums", shape, (values, _kernels.bucket_labels(keep, n, True))
-    yield "bucket_moments", shape, (values, keep, True)
+    yield "bucket_labels", shape, _kernels.bucket_labels, (keep, n, True)
+    labels = _kernels.bucket_labels(keep, n, True)
+    yield "bucket_sums", shape, _kernels.bucket_sums, (values, labels)
+    yield "bucket_moments", shape, _kernels.bucket_moments, (values, keep, True)
 
     a = (rng.random(4096) < 0.5).astype(np.uint8)
     b = a.copy()
     flips = rng.choice(4096, size=200, replace=False)
     b[flips] ^= 1
-    yield "levenshtein", "N=M=4096", (a, b)
+    yield "levenshtein", "N=M=4096", _kernels.levenshtein, (a, b)
 
     # (20000, 15), and the desk_large shape of dist_to_nblock
     for size, k in ((20000, 15), (16384, 63)):
         bits = (rng.random(size) < 0.5).astype(np.int64)
-        yield "alternating_fit_tables", f"N={size} k={k}", (bits, k)
+        yield "alternating_fit_tables", f"N={size} k={k}", _kernels.alternating_fit_tables, \
+            (bits, k)
 
     p = rng.random(256)
     p /= p.sum()
     q = rng.random(256)
     q /= 2 * q.sum()
-    yield "interval_scan", "n=256", (p, q, 1e-3, True)
+    yield "interval_scan", "n=256", _kernels.interval_scan, (p, q, 1e-3, True)
+
+    trials = 30
+    for tester, point in (("cc", {"n": 256, "epsilon": 0.3, "eta": 0.5}),
+                          ("pt_large", {"n": 256, "epsilon": 0.3}),
+                          ("pt_small", {"n": 32, "epsilon": 0.05})):
+        spec = ExperimentSpec(tester, [point], trials, 1234)
+        yield f"estimate {tester}", f"n={point['n']} trials={trials}", estimate_acceptance, \
+            (spec,)
 
 
 def run(repeats: int = 3) -> None:
-    header = f"{'kernel':<24}{'shape':<20}{'best (s)':>12}"
+    header = f"{'kernel':<24}{'shape':<20}{'best (ms)':>12}"
     print(header)
     print("-" * len(header))
-    for name, shape, args in _cases():
-        best = _time(getattr(_kernels, name), *args, repeats=repeats)
-        print(f"{name:<24}{shape:<20}{best:>12.4f}")
+    for name, shape, fn, args in _cases():
+        best = _time(fn, *args, repeats=repeats)
+        print(f"{name:<24}{shape:<20}{best * 1e3:>12.3f}")
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ __all__ = [
     "parity_trace",
     "circular_runs",
     "linear_runs",
+    "necklace_sums",
     "parse_bits",
     "runs_from_counts",
     "sample_exact",
@@ -197,27 +198,34 @@ def runs_from_counts(counts: np.ndarray) -> RunLengthTrace:
 
     Equivalent to ``circular_runs(parity_trace(SampleMultiset(counts)))`` but
     O(domain) regardless of the sample size: the record keeps `counts` as its
-    source and builds the trace string only if `bits` is read.
+    source and builds the trace string only if `bits` is read.  The runs are
+    the nonzero entries of `necklace_sums` on the one row `counts`.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    ones, zeros = necklace_sums(counts[None, :])[:, 0]
+    return RunLengthTrace(one_runs=ones[ones > 0].astype(np.int64),
+                          zero_runs=zeros[zeros > 0].astype(np.int64),
+                          source=counts)
+
+
+def necklace_sums(counts: np.ndarray) -> np.ndarray:
+    """Circular run lengths of the parity trace of every row of 2n counts.
 
     On the necklace of n odd/even slot pairs, the one-runs are the bucket
     sums of the odd counts where edge i survives when the even slot after
     odd slot i is empty, and the zero-runs are the bucket sums of the even
-    counts where edge i survives when the next odd slot is empty.  Buckets
-    with no sample point give no run.
+    counts where edge i survives when the next odd slot is empty.  Returns
+    a float64 array of shape (2, rows, n): the one-run sums, then the
+    zero-run sums; a zero entry is a bucket with no sample point, or no
+    bucket, and no run.
     """
-    counts = np.asarray(counts, dtype=np.int64)
-    odd = counts[0::2]  # odd elements -> 1 symbols
-    even = counts[1::2]  # even elements -> 0 symbols
-    return RunLengthTrace(one_runs=_bucket_runs(odd, even == 0),
-                          zero_runs=_bucket_runs(even, np.roll(odd, -1) == 0),
-                          source=counts)
-
-
-def _bucket_runs(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Nonzero bucket sums of `values` on the cycle whose edge i survives when keep[i]."""
-    labels = _kernels.bucket_labels(keep[None, :], values.size, True)
-    sums = _kernels.bucket_sums(values[None, :], labels)[0]
-    return sums[sums > 0].astype(np.int64)
+    rows, n = counts.shape[0], counts.shape[1] // 2
+    odd = counts[:, 0::2]  # odd elements -> 1 symbols
+    even = counts[:, 1::2]  # even elements -> 0 symbols
+    values = np.concatenate((odd, even), dtype=np.float64)
+    keep = np.concatenate((even == 0, np.roll(odd, -1, axis=1) == 0))
+    labels = _kernels.bucket_labels(keep, n, True)
+    return _kernels.bucket_sums(values, labels).reshape(2, rows, n)
 
 
 def sample_exact(pair: PartialDistributionPair, m: int, seed) -> SampleMultiset:

@@ -91,21 +91,35 @@ def phi_mu_sum(n: int, m: float) -> float:
     return _join_sum(n, math.exp(-m / (2 * n)), True)
 
 
+def _collision_rows(x, domain_size: int, epsilon: float):
+    """(m, C, threshold, reject) of the histogram collision tester, per row of counts.
+
+    C = sum_i X_i(X_i-1) / (m(m-1)) with m the row sum, and a row rejects
+    when C exceeds (1 + eps^2/2) / D.  Rows with m <= 1 give C = nan.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    m = x.sum(axis=1)
+    pairs = x - 1.0
+    pairs *= x
+    den = m * (m - 1.0)
+    c_stat = pairs.sum(axis=1) / np.where(den > 0, den, np.nan)
+    threshold = (1.0 + epsilon**2 / 2.0) / domain_size
+    return m, c_stat, threshold, c_stat > threshold
+
+
 def uht_histogram(counts, domain_size: int, epsilon: float) -> Verdict:
     """Plain collision tester on a multiplicity histogram.
 
     Accepts iff C = sum_i X_i(X_i-1) / (m(m-1)) is at most
     (1 + eps^2/2) / D.
     """
-    x = np.asarray(counts, dtype=np.float64)
-    m = float(x.sum())
-    if m < 2:
+    m, c_stat, threshold, reject = _collision_rows(np.reshape(counts, (1, -1)),
+                                                   domain_size, epsilon)
+    if m[0] < 2:
         raise ValueError("histogram tester needs at least two samples")
-    c_stat = float(np.sum(x * (x - 1.0)) / (m * (m - 1.0)))
-    threshold = (1.0 + epsilon**2 / 2.0) / domain_size
-    stats = {"C": c_stat, "threshold": threshold, "m": m, "D": domain_size}
+    stats = {"C": float(c_stat[0]), "threshold": threshold, "m": float(m[0]), "D": domain_size}
     params = {"epsilon": epsilon}
-    if c_stat > threshold:
+    if reject[0]:
         return Verdict(False, "histogram", stats, params)
     return Verdict(True, "none", stats, params)
 
@@ -116,6 +130,44 @@ def _as_runs(trace) -> RunLengthTrace:
     return circular_runs(trace)
 
 
+# the six checks of the large-eps tester in order, and "none" past the last
+_PT_LARGE_STEPS = ("bias", "concentration", "collision") * 2 + ("none",)
+# the per-class statistics, class 1 first
+_PT_LARGE_STATS = ("N1", "max_run1", "Y1", "N0", "max_run0", "Y0")
+
+
+def _pt_large_rows(runs, n: int, epsilon: float, config: PTTesterConfig, m: float):
+    """The six checks of `test_uniformity_pt_large` on every row.
+
+    `runs[0, i]` and `runs[1, i]` hold the one-run and the zero-run lengths
+    of trace i (the layout of `necklace_sums`); zero entries stand for no
+    run and change no statistic.  Returns (first, stats, threshold_Y,
+    threshold_run): first[i] indexes _PT_LARGE_STEPS at the first failing
+    check of row i, and stats[j, i] is statistic _PT_LARGE_STATS[j] of row
+    i.  A sample size `m` that is not positive raises ValueError.
+    """
+    if not m > 0:
+        raise ValueError(f"the large-eps tester needs a positive sample size, got m={m}")
+    threshold_y = (m / (4 * n**2)) * phi_mu_sum(n, m) + config.beta * epsilon**2 * m**2 / n**2
+    threshold_run = config.alpha * math.log(n)
+    x = np.asarray(runs, dtype=np.float64)
+    stats = np.empty((2, 3, x.shape[1]))  # (class, statistic, row)
+    n_sym, max_run, y = stats[:, 0], stats[:, 1], stats[:, 2]
+    x.sum(axis=2, out=n_sym)
+    x.max(axis=2, initial=0.0, out=max_run)
+    pairs = x - 1.0
+    pairs *= x
+    pairs.sum(axis=2, out=y)
+    y /= m
+    # rows 0-5 hold the checks in order as (class, check); row 6, "none", always holds
+    failed = np.ones((7, x.shape[1]), dtype=np.bool_)
+    checks = failed[:6].reshape(2, 3, -1)
+    np.greater_equal(n_sym / m, 0.5 + config.gamma / math.sqrt(m), out=checks[:, 0])
+    np.logical_and(n_sym > 0, max_run >= threshold_run, out=checks[:, 1])  # a run must exist
+    np.greater_equal(y, threshold_y, out=checks[:, 2])
+    return failed.argmax(axis=0), stats.reshape(6, -1), threshold_y, threshold_run
+
+
 def test_uniformity_pt_large(trace, n: int, epsilon: float,
                              config: PTTesterConfig | None = None,
                              m: float | None = None) -> Verdict:
@@ -124,7 +176,9 @@ def test_uniformity_pt_large(trace, n: int, epsilon: float,
     Per class: reject when the class holds more than half the trace plus
     gamma/sqrt(m); reject when any run reaches alpha*log(n); reject when
     the collision statistic Y exceeds (m/4n^2) * sum(phi_mu) plus
-    beta*eps^2*m^2/n^2.  Accepts only if all six checks pass.
+    beta*eps^2*m^2/n^2.  Accepts only if all six checks pass.  The
+    verdict reports the statistics of the classes checked up to the first
+    failing check.
 
     `m` defaults to the trace length; a sample size that is not positive
     (an empty trace, for instance) raises ValueError.
@@ -133,27 +187,37 @@ def test_uniformity_pt_large(trace, n: int, epsilon: float,
     runs = _as_runs(trace)
     if m is None:
         m = float(runs.length)
-    if not m > 0:
-        raise ValueError(f"the large-eps tester needs a positive sample size, got m={m}")
     params = {"alpha": config.alpha, "beta": config.beta, "gamma": config.gamma,
               "c_m": config.c_m, "epsilon": epsilon, "n": n, "m": m, "branch": "large_eps"}
-    threshold_y = (m / (4 * n**2)) * phi_mu_sum(n, m) + config.beta * epsilon**2 * m**2 / n**2
-    threshold_run = config.alpha * math.log(n)
+    padded = np.zeros((2, 1, max(runs.one_runs.size, runs.zero_runs.size)))
+    padded[0, 0, : runs.one_runs.size] = runs.one_runs
+    padded[1, 0, : runs.zero_runs.size] = runs.zero_runs
+    first, rows, threshold_y, threshold_run = _pt_large_rows(padded, n, epsilon, config, m)
+    first = int(first[0])
+    fired = _PT_LARGE_STEPS[first]
     stats = {"threshold_Y": threshold_y, "threshold_run": threshold_run}
-    for symbol, x in (("1", runs.one_runs), ("0", runs.zero_runs)):
-        x = x.astype(np.float64)
-        n_sym = float(x.sum())
-        y = float(np.sum(x * (x - 1.0)) / m)
-        stats[f"N{symbol}"] = n_sym
-        stats[f"max_run{symbol}"] = float(x.max(initial=0.0))
-        stats[f"Y{symbol}"] = y
-        if n_sym / m >= 0.5 + config.gamma / math.sqrt(m):
-            return Verdict(False, "bias", stats, params)
-        if x.size and float(x.max()) >= threshold_run:
-            return Verdict(False, "concentration", stats, params)
-        if y >= threshold_y:
-            return Verdict(False, "collision", stats, params)
-    return Verdict(True, "none", stats, params)
+    # class 0 is checked, and reported, only when class 1 passes its three checks
+    reported = 3 if first < 3 else 6
+    stats.update(zip(_PT_LARGE_STATS[:reported], rows[:reported, 0].tolist()))
+    return Verdict(fired == "none", fired, stats, params)
+
+
+_PT_SMALL_STEPS = ("none", "coverage", "histogram")
+
+
+def _pt_small_rows(counts, n: int, epsilon: float):
+    """Coverage and collision checks of `test_uniformity_pt_small` per row of 2n counts.
+
+    The linear trace recovers the histogram exactly when every element of
+    [2n] was sampled, and the histogram is then the count row itself.
+    Returns (step, C, m, threshold), where step[i] indexes _PT_SMALL_STEPS.
+    """
+    if n < 1:
+        raise ValueError(f"the small-eps tester needs n >= 1, got n={n}")
+    counts = np.asarray(counts, dtype=np.float64)
+    covered = (counts > 0).all(axis=1)
+    m, c_stat, threshold, reject = _collision_rows(counts, 2 * n, epsilon)
+    return np.where(covered, 2 * reject, 1), c_stat, m, threshold
 
 
 def test_uniformity_pt_small(trace, n: int, epsilon: float,
@@ -170,23 +234,17 @@ def test_uniformity_pt_small(trace, n: int, epsilon: float,
     values, lengths = linear_runs(bits)
     params = {"c_small": config.c_small, "epsilon": epsilon, "n": n, "branch": "small_eps"}
     ones = int(np.sum(values == 1))
-    zeros = values.size - ones
-    stats = {"one_runs": ones, "zero_runs": zeros, "m": float(len(bits))}
-    covered = (
-        ones == n
-        and zeros == n
-        and values.size > 0
-        and values[0] == 1
-        and values[-1] == 0
-    )
-    if not covered:
-        return Verdict(False, "coverage", stats, params)
-    histogram = np.empty(2 * n, dtype=np.int64)
-    histogram[0::2] = lengths[values == 1]
-    histogram[1::2] = lengths[values == 0]
-    inner = uht_histogram(histogram, 2 * n, epsilon)
-    stats.update(inner.statistics)
-    return Verdict(inner.accept, inner.fired_step, stats, params)
+    stats = {"one_runs": ones, "zero_runs": values.size - ones, "m": float(len(bits))}
+    # runs alternate, so 2n runs starting with a 1 are the shape (1+0+)^n and list the
+    # 2n counts in order; a trace of any other shape missed an element, as a zero row does
+    covered = values.size == 2 * n and values.size > 0 and values[0] == 1
+    row = lengths if covered else np.zeros(2 * n)
+    step, c_stat, m, threshold = _pt_small_rows(row[None, :], n, epsilon)
+    fired = _PT_SMALL_STEPS[step[0]]
+    if fired != "coverage":
+        stats.update({"C": float(c_stat[0]), "threshold": threshold, "m": float(m[0]),
+                      "D": 2 * n})
+    return Verdict(fired == "none", fired, stats, params)
 
 
 def test_uniformity_pt(trace, n: int, epsilon: float,

@@ -1,0 +1,185 @@
+"""A grid point as one batch: row-wise checks against the per-trial testers."""
+
+import hashlib
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import paritylab.harness as harness
+from paritylab import _kernels
+from paritylab.collector import _CC_STEPS, _CHUNK_CELLS, BaseGraph, CCTesterConfig, _cc_rows
+from paritylab.collector import test_uniformity_cc as cc_verdict
+from paritylab.core import SampleMultiset, circular_runs, necklace_sums, parity_trace
+from paritylab.harness import (
+    ExperimentSpec,
+    estimate_acceptance,
+    run_cc_trial,
+    run_pt_large_trial,
+    run_pt_small_trial,
+    wilson_interval,
+)
+from paritylab.parity import (
+    _PT_LARGE_STATS,
+    _PT_LARGE_STEPS,
+    _PT_SMALL_STEPS,
+    PTTesterConfig,
+    _pt_large_rows,
+    _pt_small_rows,
+)
+from paritylab.parity import test_uniformity_pt_large as pt_large_verdict
+from paritylab.parity import test_uniformity_pt_small as pt_small_verdict
+from paritylab.rng import split_seed
+
+RUN_TRIAL = {"cc": run_cc_trial, "pt_large": run_pt_large_trial, "pt_small": run_pt_small_trial}
+
+
+def mixed_counts(rng, rows: int, cols: int, lam: float) -> np.ndarray:
+    """Poisson rows at rates rising from 0 (an all-zero first row) to 4 lam."""
+    return rng.poisson(np.linspace(0.0, 4 * lam, rows)[:, None], size=(rows, cols))
+
+
+def test_cc_rows_match_the_per_trial_tester():
+    rng = np.random.default_rng(7)
+    n, m = 64, 600.0
+    cfg = CCTesterConfig(0.3, 0.5)
+    steps = set()
+    for graph in (BaseGraph("cycle", n), BaseGraph("path", n)):
+        counts = mixed_counts(rng, 40, n, m / n)
+        keep = rng.random((40, graph.n_edges)) < 0.5
+        labels = _kernels.bucket_labels(keep, n, graph.is_cycle)
+        x = _kernels.bucket_sums(counts, labels)
+        step, _, y, _, _ = _cc_rows(x, cfg, n, m, graph, True)
+        for i in range(len(counts)):
+            bucket_counts = np.bincount(labels[i], weights=counts[i])
+            v = cc_verdict(bucket_counts, cfg, n, m, graph, override_range_check=True)
+            assert (v.accept, v.fired_step) == (step[i] == 0, _CC_STEPS[step[i]])
+            assert v.statistics.get("Y", 0.0) == (0.0 if v.fired_step == "concentration" else y[i])
+            steps.add(v.fired_step)
+    assert steps == {"none", "concentration", "collision"}
+
+
+def test_pt_large_rows_match_the_per_trial_tester_on_the_string():
+    rng = np.random.default_rng(8)
+    n, m, eps = 32, 300.0, 0.5
+    cfg = PTTesterConfig(alpha=4.0)
+    lam = m / (2 * n)
+    counts = mixed_counts(rng, 60, 2 * n, lam)
+    counts[4:10, 1::2] = 0  # every even slot empty: the one-runs join into one
+    counts[10:14, 0::2] *= 3  # too many ones
+    counts[14:30, 0::2] = rng.poisson(0.8 * lam, size=(16, n))  # class 1 passes ...
+    counts[14:18, 1::2] *= 3  # ... and class 0 has too many zeros
+    counts[18:30, 1::2] = rng.poisson(1.2 * lam, size=(12, n))  # ... or too many collisions
+    first, stats, _, _ = _pt_large_rows(necklace_sums(counts), n, eps, cfg, m)
+    seen = set()
+    for i, row in enumerate(counts):
+        v = pt_large_verdict(circular_runs(parity_trace(SampleMultiset(row))), n, eps, cfg, m=m)
+        assert (v.accept, v.fired_step) == (first[i] == 6, _PT_LARGE_STEPS[first[i]])
+        for key, value in v.statistics.items():
+            if key in _PT_LARGE_STATS:
+                assert value == stats[_PT_LARGE_STATS.index(key), i], key
+        seen.add((v.fired_step, "N0" in v.statistics))
+    assert {step for step, _ in seen} == {"none", "bias", "concentration", "collision"}
+    assert ("collision", True) in seen and ("bias", True) in seen  # class 0 fired too
+
+
+def test_pt_small_rows_match_the_per_trial_tester_on_the_string():
+    rng = np.random.default_rng(9)
+    n, eps = 8, 0.3
+    counts = mixed_counts(rng, 60, 2 * n, 3.0)
+    counts[4:8, 0] = 0
+    counts[8:12, -1] = 0
+    step, c_stat, _, _ = _pt_small_rows(counts, n, eps)
+    seen = set()
+    for i, row in enumerate(counts):
+        v = pt_small_verdict(parity_trace(SampleMultiset(row)), n, eps)
+        assert (v.accept, v.fired_step) == (step[i] == 0, _PT_SMALL_STEPS[step[i]])
+        assert v.statistics.get("C", 0.0) == (0.0 if v.fired_step == "coverage" else c_stat[i])
+        seen.add(v.fired_step)
+    assert seen == {"none", "coverage", "histogram"}
+
+
+# Steps and sha256 prefix of the verdict JSON of seeds 0..5, as the per-trial
+# functions gave them before estimate_acceptance ran a point as a batch.
+PINNED_TRIALS = [
+    ("cc", {"n": 64, "epsilon": 0.3, "eta": 0.5},
+     ["none"] * 6, "3ee929c2560fb549"),
+    ("cc", {"n": 64, "epsilon": 0.3, "eta": 0.5, "instance": "interval_far", "width": 4,
+            "graph": "path"},
+     ["collision"] * 4 + ["none", "collision"], "9432495f2bc3394b"),
+    ("cc", {"n": 64, "epsilon": 0.3, "eta": 0.5, "instance": "paired_far", "alpha": 2.0},
+     ["none", "concentration", "none", "none", "none", "none"], "e6141ca08f0e80f2"),
+    ("pt_large", {"n": 32, "epsilon": 0.5, "m": 300},
+     ["none", "collision", "collision", "none", "none", "collision"], "304e782c7c69dd56"),
+    ("pt_large", {"n": 32, "epsilon": 0.5, "m": 300, "instance": "paired_far", "bias": 0.9,
+                  "gamma": 0.5},
+     ["collision"] * 5 + ["bias"], "71606b12deb6e901"),
+    ("pt_large", {"n": 32, "epsilon": 0.5, "m": 300, "instance": "interval_far", "alpha": 4.0},
+     ["concentration"] * 6, "552ebce4423e7ce9"),
+    ("pt_small", {"n": 8, "epsilon": 0.3},
+     ["none", "none", "histogram", "none", "none", "none"], "7ce836e625762919"),
+    ("pt_small", {"n": 8, "epsilon": 0.3, "instance": "paired_far", "bias": 0.6},
+     ["histogram"] * 6, "eb29d1a056ac87d2"),
+    ("pt_small", {"n": 8, "epsilon": 0.3, "m": 40},
+     ["coverage", "none", "coverage", "coverage", "coverage", "coverage"], "51c8d76ab4f109d8"),
+]
+
+
+@pytest.mark.parametrize("tester,point,steps,digest", PINNED_TRIALS)
+def test_per_trial_verdicts_are_pinned(tester, point, steps, digest):
+    verdicts = [RUN_TRIAL[tester](point, seed) for seed in range(6)]
+    assert [v.fired_step for v in verdicts] == steps
+    text = "\n".join(v.to_json() for v in verdicts)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("tester,point", [
+    ("cc", {"n": 256, "epsilon": 0.3, "eta": 0.5}),
+    ("cc", {"n": 256, "epsilon": 0.3, "eta": 0.5, "instance": "interval_far", "width": 8}),
+    ("pt_large", {"n": 256, "epsilon": 0.3}),
+    ("pt_large", {"n": 256, "epsilon": 0.3, "instance": "paired_far"}),
+    ("pt_small", {"n": 32, "epsilon": 0.05}),
+    ("pt_small", {"n": 32, "epsilon": 0.05, "instance": "paired_far", "bias": 0.4}),
+])
+def test_batched_and_per_trial_rates_agree(tester, point):
+    trials = 1000
+    batched = estimate_acceptance(ExperimentSpec(tester, [point], trials, 21)).rows[0][-4]
+    per_trial = sum(RUN_TRIAL[tester](point, s).accept for s in split_seed(22, trials))
+    low, high = wilson_interval(round(batched * trials), trials)
+    ref_low, ref_high = wilson_interval(per_trial, trials)
+    assert low <= ref_high and ref_low <= high
+
+
+@pytest.mark.parametrize("tester,point", [
+    ("cc", {"n": 64, "epsilon": 0.3, "eta": 0.5, "alpha": 1e-3}),  # every trial: concentration
+    ("pt_small", {"n": 8, "epsilon": 0.3, "m": 4}),  # every trial: coverage
+])
+def test_mean_statistic_counts_early_rejects_as_zero(tester, point):
+    row = estimate_acceptance(ExperimentSpec(tester, [point], 50, 4)).rows[0]
+    assert row[-4:] == (0.0, 0.0, pytest.approx(0.0713, abs=1e-4), 0.0)
+
+
+def test_pt_large_point_memory_is_bounded_by_the_chunk(monkeypatch):
+    rows = []
+
+    def spy(counts):
+        rows.append(counts.shape[0])
+        return necklace_sums(counts)
+
+    monkeypatch.setattr(harness, "necklace_sums", spy)
+    # rows per chunk: _CHUNK_CELLS cells of 2n each, and at least one row
+    per_chunk = _CHUNK_CELLS // 512
+    estimate_acceptance(ExperimentSpec("pt_large", [{"n": 256, "epsilon": 0.3}],
+                                       2 * per_chunk + 5, 3))
+    assert per_chunk > 1 and rows == [per_chunk, per_chunk, 5]
+    n = 65536
+    point = {"n": n, "epsilon": 0.3, "m": 20 * n, "instance": "paired_far"}
+    peaks = []
+    for trials in (8, 64):
+        rows.clear()
+        tracemalloc.start()
+        estimate_acceptance(ExperimentSpec("pt_large", [point], trials, 3))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert rows == [max(1, _CHUNK_CELLS // (2 * n))] * trials
+    assert peaks[1] <= peaks[0] * 1.05

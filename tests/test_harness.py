@@ -31,6 +31,8 @@ def test_trial_configs_start_from_the_dataclass_defaults():
                                                                               gamma=1.0)
     point = {"n": 8, "epsilon": 0.3, "eta": 0.5, "L": 0.2}
     assert trial_config(CCTesterConfig, point, "c") == CCTesterConfig(0.3, 0.5, L=0.2)
+    with pytest.raises(ValueError, match="'eta'"):  # a field without a default
+        trial_config(CCTesterConfig, {"n": 8, "epsilon": 0.3}, "c")
 
 
 def test_domino_yes_is_exactly_uniform():
@@ -226,6 +228,20 @@ def test_cli_experiment_csv(tmp_path):
     header = out1.stdout.splitlines()[0]
     assert header.endswith("accept_rate,ci_low,ci_high,mean_statistic")
     assert out1.stdout == out2.stdout  # byte-identical reruns
+
+
+@pytest.mark.parametrize("point,missing", [
+    ({"n": 64, "epsilon": 0.3}, "'eta'"),
+    ({"n": 64, "eta": 0.5}, "'epsilon'"),
+])
+def test_cli_experiment_missing_field_exits_2(tmp_path, point, missing):
+    sfile = tmp_path / "spec.json"
+    sfile.write_text(json.dumps({"schema": 1, "tester": "cc", "grid": [point],
+                                 "trials": 2, "seed": 5}))
+    out = run_cli("experiment", str(sfile))
+    assert out.returncode == 2
+    assert out.stderr.startswith("error:") and missing in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 def test_cli_instance_and_errors(tmp_path):

@@ -161,3 +161,5 @@ def test_benchmark_smoke(capsys):
     out = capsys.readouterr().out
     assert "kernel" in out and "bucket_labels" in out
     assert "N=16384 k=63" in out  # rows name their shapes
+    for tester in ("cc", "pt_large", "pt_small"):  # one estimate_acceptance point each
+        assert f"estimate {tester}" in out
