@@ -62,7 +62,8 @@ def bucket_sums(values: np.ndarray, labels: np.ndarray) -> np.ndarray:
     the last bucket are 0.
     """
     trials, n = labels.shape
-    flat = labels + (np.arange(trials, dtype=np.int64)[:, None] * n)
+    # row t's buckets go to slots t*n.. of one flat bincount; row 0 needs no offset
+    flat = labels if trials == 1 else labels + (np.arange(trials, dtype=np.int64)[:, None] * n)
     # bincount copies weights that are not writeable float64, so convert once here
     weights = np.asarray(values, dtype=np.float64).ravel()
     sums = np.bincount(flat.ravel(), weights=weights, minlength=trials * n)

@@ -1,10 +1,12 @@
-"""Best-of-k wall time of every kernel in ``paritylab._kernels``, and of
-one `estimate_acceptance` grid point per tester.
+"""Best-of-k wall time of every kernel in ``paritylab._kernels``, of
+one `estimate_acceptance` grid point per tester, and of one pass through
+the deletion pipeline.
 
 Run as ``python -m paritylab.benchmarks`` or ``paritylab bench``.  Each
 kernel has one implementation, so each row shows one time, beside the
 shape of the case it ran.  The tester rows run 30 trials of the uniform
-instance at the acceptance suite's shapes.
+instance at the acceptance suite's shapes; the pipeline row runs
+`deletion_trace` then `poissonize` on a uniform 64-block string.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import time
 import numpy as np
 
 from . import _kernels
+from .deletion import deletion_trace, poissonize, uniform_block_string
 from .harness import ExperimentSpec, estimate_acceptance
 from .rng import generator
 
@@ -25,6 +28,10 @@ def _time(fn, *args, repeats: int = 3) -> float:
         fn(*args)
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def _deletion_pipeline(x: str, rho: float, seed: int) -> str:
+    return poissonize(deletion_trace(x, rho, seed), rho, seed + 1)
 
 
 def _cases():
@@ -66,14 +73,17 @@ def _cases():
         yield f"estimate {tester}", f"n={point['n']} trials={trials}", estimate_acceptance, \
             (spec,)
 
+    yield "deletion pipeline", "N=65536 blocks=64 rho=0.5", _deletion_pipeline, \
+        (uniform_block_string(65536, 64), 0.5, 1234)
+
 
 def run(repeats: int = 3) -> None:
-    header = f"{'kernel':<24}{'shape':<20}{'best (ms)':>12}"
+    header = f"{'kernel':<24}{'shape':<28}{'best (ms)':>12}"
     print(header)
     print("-" * len(header))
     for name, shape, fn, args in _cases():
         best = _time(fn, *args, repeats=repeats)
-        print(f"{name:<24}{shape:<20}{best * 1e3:>12.3f}")
+        print(f"{name:<24}{shape:<28}{best * 1e3:>12.3f}")
 
 
 if __name__ == "__main__":

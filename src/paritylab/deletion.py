@@ -16,7 +16,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
-from .core import PartialDistribution, PartialDistributionPair, _split_poisson, parse_bits
+from .core import (
+    PartialDistribution,
+    PartialDistributionPair,
+    RunLengthTrace,
+    _split_poisson,
+    circular_runs,
+    parse_bits,
+)
 from .editdist import DensitySequence, psi, psi_inv
 from .parity import PTTesterConfig, test_uniformity_pt
 from .rng import generator
@@ -99,24 +106,31 @@ def deletion_trace(x: str, rho: float, seed) -> str:
     rng = generator(seed)
     keep = rng.random(len(x)) < rho
     arr = np.frombuffer(x.encode("ascii"), dtype=np.uint8)
-    return arr[keep].tobytes().decode("ascii")
+    # compress is several times faster than the boolean index arr[keep] on a random mask
+    return np.compress(keep, arr).tobytes().decode("ascii")
 
 
 def _zero_truncated_poisson(lam: float, size: int, rng) -> np.ndarray:
-    """Poisson(lam) conditioned on being positive, via inverse transform."""
+    """Poisson(lam) conditioned on being positive, via inverse transform.
+
+    Sequential search (Devroye 1986, X.3): draw i gets the first k with
+    u_i <= P[X in 1..k].  Each step compares only the draws still above
+    the running sum; as that sum never decreases, a draw that stopped
+    stays stopped.
+    """
     u = rng.random(size) * -np.expm1(-lam)  # uniform over (0, P[X>0])
     out = np.ones(size, dtype=np.int64)
     k = 1
     term = lam * math.exp(-lam)  # P[X = 1]
     cum = term
-    remaining = u > cum
+    idx = np.flatnonzero(u > cum)
     # the tail cap only guards against float round-off in the last ulp
-    while np.any(remaining) and k < max(200, 20 * lam):
+    while idx.size and k < max(200, 20 * lam):
         k += 1
         term *= lam / k
         cum += term
-        out[remaining] = k
-        remaining = u > cum
+        out[idx] = k
+        idx = idx[u[idx] > cum]
     return out
 
 
@@ -263,8 +277,11 @@ def _promised_uniform_verdict(poi: str, spec: TraceTestSpec, config: PTTesterCon
     m_eff = spec.n_chars * math.log(1.0 / (1.0 - spec.rho))
     half = spec.n_blocks // 2
     eps = spec.epsilon / 2.0  # string-to-distribution farness loses a factor 2
-    v1 = test_uniformity_pt(poi, half, eps, config, m=m_eff)
-    v2 = test_uniformity_pt(poi.translate(_NEGATE), half, eps, config, m=m_eff)
+    direct = circular_runs(poi)
+    # negating every symbol keeps the runs and swaps their classes
+    negated = RunLengthTrace(direct.zero_runs, direct.one_runs, poi.translate(_NEGATE))
+    v1 = test_uniformity_pt(direct, half, eps, config, m=m_eff)
+    v2 = test_uniformity_pt(negated, half, eps, config, m=m_eff)
     accept = v1.accept or v2.accept
     stats = {"m": float(len(poi)), "m_eff": m_eff,
              "accept_direct": v1.accept, "accept_negated": v2.accept}

@@ -15,6 +15,7 @@ from paritylab.deletion import (
     DeletionChannel,
     TraceTestSpec,
     _fit_alternating,
+    _zero_truncated_poisson,
     deletion_trace,
     learn_k_alternating,
     poissonize,
@@ -25,7 +26,9 @@ from paritylab.deletion import test_n_block as nblock_verdict
 from paritylab.deletion import test_uniform_n_block as ublock_verdict
 from paritylab.deletion import test_uniform_n_block_multitrace as multi_verdict
 from paritylab.deletion import trace_spec_distribution
-from paritylab.editdist import dist_to_nblock, psi_inv, uniform_density
+from paritylab.editdist import DensitySequence, dist_to_nblock, psi, psi_inv, uniform_density
+from paritylab.harness import domino_instance
+from paritylab.parity import PTTesterConfig
 
 
 def test_channel_validation():
@@ -40,6 +43,15 @@ def test_deletion_trace_extremes():
     assert deletion_trace("", 0.5, 0) == ""
     short = deletion_trace(x, 1e-9, 0)
     assert short == ""
+
+
+def test_deletion_trace_draws_one_uniform_per_character():
+    # a passed-in generator advances by len(x) uniforms at every rate, rho = 1 included
+    for rho in (1e-9, 0.5, 1.0):
+        rng, ref = np.random.default_rng(57), np.random.default_rng(57)
+        deletion_trace("110010" * 7, rho, rng)
+        ref.random(42)
+        assert rng.random() == ref.random()
 
 
 def test_deletion_trace_length_binomial():
@@ -69,6 +81,34 @@ def test_poissonize_expected_length():
     expect = 3000 * len(x) * lam
     sd = math.sqrt(3000 * len(x) * (lam + lam**2))
     assert abs(total - expect) <= 4 * sd
+
+
+def _zero_truncated_poisson_loop(lam, size, rng):
+    """The inverse transform as first written: every step rescans all draws."""
+    u = rng.random(size) * -np.expm1(-lam)
+    out = np.ones(size, dtype=np.int64)
+    k = 1
+    term = lam * math.exp(-lam)
+    cum = term
+    remaining = u > cum
+    while np.any(remaining) and k < max(200, 20 * lam):
+        k += 1
+        term *= lam / k
+        cum += term
+        out[remaining] = k
+        remaining = u > cum
+    return out
+
+
+@pytest.mark.parametrize("lam", [0.046, math.log(2), 3.0, 25.0])
+@pytest.mark.parametrize("size", [0, 1, 8, 32768])
+def test_zero_truncated_poisson_matches_loop(lam, size):
+    for seed in range(3):
+        got_rng, want_rng = np.random.default_rng([56, seed]), np.random.default_rng([56, seed])
+        got = _zero_truncated_poisson(lam, size, got_rng)
+        want = _zero_truncated_poisson_loop(lam, size, want_rng)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got_rng.random() == want_rng.random()  # the same draws were taken
 
 
 def run_histogram(traces):
@@ -481,3 +521,164 @@ PINNED_TRACE_TESTER_DIGESTS = {
 
 def test_trace_tester_outputs_are_pinned():
     assert trace_tester_digests() == PINNED_TRACE_TESTER_DIGESTS
+
+
+def _block_string(N: int, blocks: int, rng) -> str:
+    """A random string of length N with exactly `blocks` runs."""
+    sizes = 1 + rng.multinomial(N - blocks, np.full(blocks, 1.0 / blocks))
+    return "".join(str(i % 2) * int(s) for i, s in enumerate(sizes, start=1))
+
+
+def pipeline_digests() -> dict:
+    """Digests of `deletion_trace` -> `poissonize` on the benchmark's string
+    shapes at three retention rates.  Odd seeds feed both stages from one
+    passed-in generator and hash its next draw as well, so a stage that
+    takes more or fewer draws moves the digest."""
+    strings = {x: x for x in ("110010", "1", "000111", "1010101010101010", "0110")}
+    for N, blocks in ((16, 4), (1024, 16), (16384, 64), (65536, 64)):
+        strings[f"blocks N={N}"] = _block_string(N, blocks, np.random.default_rng([47, N]))
+    strings["alternating N=8192"] = "10" * 4096
+    out = {}
+    for rho in (0.1, 0.5, 0.9):
+        for label, x in strings.items():
+            h = hashlib.sha256()
+            for seed in range(40 if len(x) <= 1024 else 6):
+                if seed % 2:
+                    rng = np.random.default_rng([48, seed])
+                    trace = deletion_trace(x, rho, rng)
+                    poi = poissonize(trace, rho, rng)
+                    h.update(repr(rng.random()).encode())
+                else:
+                    trace = deletion_trace(x, rho, (48, seed))
+                    poi = poissonize(trace, rho, (49, seed))
+                h.update(f"{trace}|{poi}/".encode())
+            out[f"{label} rho={rho}"] = h.hexdigest()[:16]
+    return out
+
+
+def promised_verdict_digests() -> dict:
+    """Digests of the verdict JSON of the promised `test_uniform_n_block`
+    (the calibrated config, and an explicit small-eps config at a rate where
+    every block survives) and of the k-trace tester at N=4096, 16 blocks,
+    on the two uniform strings, criterion 11's far string and two strings
+    outside the promise."""
+    N, n, eps, k = 4096, 16, 0.4, 4
+    budget = 2.5 * (n / eps) ** 0.8 * math.log(n) ** 1.4
+    budget_k = 2.5 * (n**0.8 / (k**0.2 * eps**0.8) * math.log(n) ** 1.4
+                      + math.sqrt(n) / (math.sqrt(k) * eps**2))
+    piece = N // n
+    skew = np.tile(np.repeat([1, 0], [2 * piece - piece // 8, piece // 8]), n // 2)
+    far = np.rint(domino_instance(n // 2, 0.9375, False, 42).pair.interleaved() * N)
+    strings = {"u1": uniform_block_string(N, n, 1), "u0": uniform_block_string(N, n, 0),
+               "far": psi(DensitySequence.from_counts(far.astype(np.int64), N), N).bits,
+               "skew": "".join(map(str, skew)), "alternating": "10" * (N // 2)}
+    promised = TraceTestSpec(N, n, eps, rho=1 - math.exp(-budget / N))
+    multi = TraceTestSpec(N, n, eps, rho=1 - math.exp(-budget_k / N))
+    small = TraceTestSpec(N, n, eps, rho=0.5)
+    small_config = PTTesterConfig(beta=0.12, mode="small_eps")
+    out = {}
+    for seed in range(3):
+        for label, x in strings.items():
+            trace = deletion_trace(x, promised.rho, (50, seed))
+            out[f"promised {label} seed={seed}"] = _digest(
+                ublock_verdict(trace, promised, seed=(51, seed)).to_json())
+            trace = deletion_trace(x, small.rho, (52, seed))
+            out[f"promised small_eps {label} seed={seed}"] = _digest(
+                ublock_verdict(trace, small, small_config, seed=(53, seed)).to_json())
+            traces = [deletion_trace(x, multi.rho, (54, seed, i)) for i in range(k)]
+            out[f"multitrace {label} seed={seed}"] = _digest(
+                multi_verdict(traces, multi, seed=(55, seed)).to_json())
+    return out
+
+
+# recorded from the boolean-index channel and the full-rescan inverse transform,
+# before the per-call kernels replaced them
+PINNED_PIPELINE_DIGESTS = {
+    "110010 rho=0.1": "938593dfdaf936f5",
+    "1 rho=0.1": "c55acb064df7a3e5",
+    "000111 rho=0.1": "0277934534d0c9fd",
+    "1010101010101010 rho=0.1": "8445cb14d18337d9",
+    "0110 rho=0.1": "68130462f58dfbc4",
+    "blocks N=16 rho=0.1": "6d487b787da97986",
+    "blocks N=1024 rho=0.1": "044c9bd36bd8919c",
+    "blocks N=16384 rho=0.1": "f98db89c5ffb2ffb",
+    "blocks N=65536 rho=0.1": "453a9554ce184949",
+    "alternating N=8192 rho=0.1": "6f1c8edfa2d7b292",
+    "110010 rho=0.5": "6bcd6e30658e7c45",
+    "1 rho=0.5": "7293c97e996deb87",
+    "000111 rho=0.5": "3dab331dc7f7397a",
+    "1010101010101010 rho=0.5": "e1d4b9c4446e3f8f",
+    "0110 rho=0.5": "66f54ee31cc1aa68",
+    "blocks N=16 rho=0.5": "7121bad013f81674",
+    "blocks N=1024 rho=0.5": "b2e4c8bdc81c7806",
+    "blocks N=16384 rho=0.5": "fb17196b32bfa081",
+    "blocks N=65536 rho=0.5": "c838c19c98a9b6be",
+    "alternating N=8192 rho=0.5": "e1cafd96dcc6b790",
+    "110010 rho=0.9": "be0d42f3bae671d6",
+    "1 rho=0.9": "a77ea2b6a3c83ab2",
+    "000111 rho=0.9": "86ba16cb26336537",
+    "1010101010101010 rho=0.9": "894b2d0ed39e70d1",
+    "0110 rho=0.9": "47f004ff0b10339d",
+    "blocks N=16 rho=0.9": "df506761ad0456f3",
+    "blocks N=1024 rho=0.9": "34ec14fade744f50",
+    "blocks N=16384 rho=0.9": "9a4664d7e2d806f2",
+    "blocks N=65536 rho=0.9": "5cde2c797d79e6b2",
+    "alternating N=8192 rho=0.9": "e6dc90bcae581c7f",
+}
+
+# recorded before the negated trace reused the direct trace's runs
+PINNED_PROMISED_VERDICT_DIGESTS = {
+    "promised u1 seed=0": "e7f51f01c1567bb7",
+    "promised small_eps u1 seed=0": "06ec1b37676aefe1",
+    "multitrace u1 seed=0": "899895876430e9af",
+    "promised u0 seed=0": "e7f51f01c1567bb7",
+    "promised small_eps u0 seed=0": "bc9b3e7b5f08e337",
+    "multitrace u0 seed=0": "899895876430e9af",
+    "promised far seed=0": "5e4b53f88da30410",
+    "promised small_eps far seed=0": "17da1b92513956fa",
+    "multitrace far seed=0": "05adbd97d96385c9",
+    "promised skew seed=0": "cf5a0140017f3141",
+    "promised small_eps skew seed=0": "17da1b92513956fa",
+    "multitrace skew seed=0": "dc886ed18de7bc4c",
+    "promised alternating seed=0": "e7f51f01c1567bb7",
+    "promised small_eps alternating seed=0": "f581bd1fb5681692",
+    "multitrace alternating seed=0": "899895876430e9af",
+    "promised u1 seed=1": "72afb6d2441e7e74",
+    "promised small_eps u1 seed=1": "ddc971bd2e6b69c5",
+    "multitrace u1 seed=1": "c5ce76c3aecf0991",
+    "promised u0 seed=1": "72afb6d2441e7e74",
+    "promised small_eps u0 seed=1": "14ec46c47e8aad20",
+    "multitrace u0 seed=1": "c5ce76c3aecf0991",
+    "promised far seed=1": "155e21afca999638",
+    "promised small_eps far seed=1": "7bcf2fe7507331cc",
+    "multitrace far seed=1": "f865cf72fe0cd231",
+    "promised skew seed=1": "8b31e48bb09955d1",
+    "promised small_eps skew seed=1": "7bcf2fe7507331cc",
+    "multitrace skew seed=1": "2813690db68c37bb",
+    "promised alternating seed=1": "72afb6d2441e7e74",
+    "promised small_eps alternating seed=1": "9d2e972876d082bc",
+    "multitrace alternating seed=1": "c5ce76c3aecf0991",
+    "promised u1 seed=2": "a0814b16a9039a7f",
+    "promised small_eps u1 seed=2": "d6119b2e94e1b35d",
+    "multitrace u1 seed=2": "0887c7493f82bf23",
+    "promised u0 seed=2": "a0814b16a9039a7f",
+    "promised small_eps u0 seed=2": "f648dba4caef4e02",
+    "multitrace u0 seed=2": "0887c7493f82bf23",
+    "promised far seed=2": "7a813e92c41c8683",
+    "promised small_eps far seed=2": "f7d42ff15a839313",
+    "multitrace far seed=2": "5a3abff4c2f6bbd0",
+    "promised skew seed=2": "3dda989ea7d1824e",
+    "promised small_eps skew seed=2": "f7d42ff15a839313",
+    "multitrace skew seed=2": "dc1b5e8fc1c9b1d7",
+    "promised alternating seed=2": "a0814b16a9039a7f",
+    "promised small_eps alternating seed=2": "fde988756c1ec88e",
+    "multitrace alternating seed=2": "0887c7493f82bf23",
+}
+
+
+def test_pipeline_outputs_are_pinned():
+    assert pipeline_digests() == PINNED_PIPELINE_DIGESTS
+
+
+def test_promised_verdicts_are_pinned():
+    assert promised_verdict_digests() == PINNED_PROMISED_VERDICT_DIGESTS

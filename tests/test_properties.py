@@ -163,3 +163,4 @@ def test_benchmark_smoke(capsys):
     assert "N=16384 k=63" in out  # rows name their shapes
     for tester in ("cc", "pt_large", "pt_small"):  # one estimate_acceptance point each
         assert f"estimate {tester}" in out
+    assert "deletion pipeline" in out and "N=65536 blocks=64 rho=0.5" in out
