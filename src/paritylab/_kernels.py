@@ -21,7 +21,6 @@ USE_NUMBA = False
 __all__ = [
     "bucket_labels",
     "bucket_sums",
-    "bucket_moments",
     "levenshtein",
     "alternating_fit_tables",
     "interval_scan",
@@ -29,7 +28,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# bucket labels / sums / moments: connected components of a random subgraph
+# bucket labels / sums: connected components of a random subgraph
 # of the path or cycle, and sums of vertex values over those components.
 # ---------------------------------------------------------------------------
 
@@ -68,17 +67,6 @@ def bucket_sums(values: np.ndarray, labels: np.ndarray) -> np.ndarray:
     weights = np.asarray(values, dtype=np.float64).ravel()
     sums = np.bincount(flat.ravel(), weights=weights, minlength=trials * n)
     return sums.reshape(trials, n)
-
-
-def bucket_moments(values: np.ndarray, keep: np.ndarray, cycle: bool) -> np.ndarray:
-    """Per-trial [sum s^2, sum s^3, max s] over component sums s of `values`."""
-    values = np.asarray(values, dtype=np.float64)
-    sums = bucket_sums(values, bucket_labels(keep, values.shape[1], cycle))
-    out = np.empty((sums.shape[0], 3), dtype=np.float64)
-    out[:, 0] = np.sum(sums * sums, axis=1)
-    out[:, 1] = np.sum(sums * sums * sums, axis=1)
-    out[:, 2] = np.max(sums, axis=1)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ def _cases():
     yield "bucket_labels", shape, _kernels.bucket_labels, (keep, n, True)
     labels = _kernels.bucket_labels(keep, n, True)
     yield "bucket_sums", shape, _kernels.bucket_sums, (values, labels)
-    yield "bucket_moments", shape, _kernels.bucket_moments, (values, keep, True)
 
     a = (rng.random(4096) < 0.5).astype(np.uint8)
     b = a.copy()

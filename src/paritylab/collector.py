@@ -10,6 +10,11 @@ thresholds the bucket-level collision statistic
 against its closed-form expectation under the uniform distribution plus a
 margin, after first rejecting anything with a suspiciously large bucket
 count.
+
+It is the one bucket-collision engine: `_confused_draw` draws for every cc
+caller, `_row_chunks` sizes every Monte Carlo loop and grid point in cells,
+and `_collision_check` checks cc and, by the necklace reduction, each
+parity-trace symbol class.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ __all__ = [
     "phi_expected",
     "phi_from_keep_probs",
     "phi_empirical",
-    "phi_row_sum_total",
     "min_eigenvalue",
     "zeta_bound",
     "test_uniformity_cc",
@@ -120,23 +124,38 @@ def _keep_probs(graph: BaseGraph, eta=None, weights=None) -> np.ndarray:
     return np.full(graph.n_edges, 1.0 - eta)
 
 
-# cells per chunk of the oracles and grid points that chunk by cells; row chunks keep
-# the stream.  A chunk's float64 arrays (512 KB) fit a 2 MB per-core L2 cache: with
-# 2^19 cells, a cc grid point of 8 trials at n=65536 ran about 35% slower than 8
-# single trials on a 2-vCPU Xeon.
+# cells per chunk of the oracles and grid points; chunking by rows keeps a
+# generator's stream only for draws of one kind.  A chunk's float64 arrays (512 KB)
+# fit a 2 MB per-core L2 cache: with 2^19 cells, a cc grid point of 8 trials at
+# n=65536 ran about 35% slower than 8 single trials on a 2-vCPU Xeon.
 _CHUNK_CELLS = 1 << 16
 
 
-def _subgraph_chunks(rng, keep_p: np.ndarray, trials: int, chunk: int):
-    """Draw `trials` random subgraphs, at most `chunk` at a time.
+def _row_chunks(trials: int, cells: int):
+    """Row counts of the chunks of `trials` rows of `cells` cells each."""
+    step = max(1, _CHUNK_CELLS // cells)
+    for start in range(0, trials, step):
+        yield min(step, trials - start)
 
-    Yields (rows, keep): the slice of trial indices and their (b, edges)
-    edge-survival draws.  Each chunk is drawn only when the caller asks for
-    it, so draws the caller makes in between follow in stream order.
+
+def _subgraph_labels(rng, keep_p: np.ndarray, n: int, cycle: bool, rows: int) -> np.ndarray:
+    """Bucket labels of `rows` random subgraphs; edge j survives with keep_p[j]."""
+    return _kernels.bucket_labels(rng.random((rows, keep_p.size)) < keep_p, n, cycle)
+
+
+def _confused_draw(rng, graph: BaseGraph, keep_p: np.ndarray, m: float, masses, rows: int):
+    """(labels, x) of `rows` confused-collector draws; x[i, b] counts bucket b of draw i.
+
+    The stream runs: all edge masks, then `masses(rows)` (distributions
+    over Z_n, one shared row or one per draw), then Poisson(m * mass) counts.
     """
-    for start in range(0, trials, chunk):
-        b = min(chunk, trials - start)
-        yield slice(start, start + b), rng.random((b, keep_p.size)) < keep_p
+    labels = _subgraph_labels(rng, keep_p, graph.n, graph.is_cycle, rows)
+    pw = masses(rows)
+    if np.shape(pw)[-1:] != (graph.n,):
+        raise ValueError("distribution and graph sizes differ")
+    counts = rng.poisson(m * pw, size=(rows, graph.n))
+    # labels run over 0..k-1, so the columns past the largest k hold only zeros
+    return labels, _kernels.bucket_sums(counts, labels)[:, : labels.max() + 1]
 
 
 def sample_confused(p, m: float, graph: BaseGraph, eta: float, seed, weights=None):
@@ -147,29 +166,24 @@ def sample_confused(p, m: float, graph: BaseGraph, eta: float, seed, weights=Non
     independent subgraph draw.
     """
     pw = np.asarray(getattr(p, "weights", p), dtype=np.float64)
-    if pw.size != graph.n:
-        raise ValueError("distribution and graph sizes differ")
-    rng = generator(seed)
-    keep = rng.random(graph.n_edges) < _keep_probs(graph, eta, weights)
-    labels = _kernels.bucket_labels(keep[None, :], graph.n, graph.is_cycle)[0]
-    counts = rng.poisson(m * pw)
-    # labels run over 0..k-1, so the bincount has one entry per bucket
-    return BucketPartition(labels), np.bincount(labels, weights=counts).astype(np.int64)
+    labels, x = _confused_draw(generator(seed), graph, _keep_probs(graph, eta, weights), m,
+                               lambda rows: pw, 1)
+    return BucketPartition(labels[0]), x[0].astype(np.int64)
 
 
 def confused_trials(p, m: float, graph: BaseGraph, eta: float, trials: int, seed,
-                    weights=None, chunk: int = 20000):
+                    weights=None):
     """Monte Carlo batch of (Y, max bucket count) over fresh (H, sample) draws."""
     pw = np.asarray(getattr(p, "weights", p), dtype=np.float64)
     rng = generator(seed)
     keep_p = _keep_probs(graph, eta, weights)
-    ys = np.empty(trials)
-    maxx = np.empty(trials)
-    for rows, keep in _subgraph_chunks(rng, keep_p, trials, chunk):
-        counts = rng.poisson(m * pw, size=(keep.shape[0], graph.n)).astype(np.float64)
-        mom = _kernels.bucket_moments(counts, keep, graph.is_cycle)
-        ys[rows] = (mom[:, 0] - counts.sum(axis=1)) / m
-        maxx[rows] = mom[:, 2]
+    ys, maxx = np.empty(trials), np.empty(trials)
+    start = 0
+    for rows in _row_chunks(trials, graph.n):
+        _, x = _confused_draw(rng, graph, keep_p, m, lambda rows: pw, rows)
+        ys[start : start + rows] = _pair_sums(x) / m
+        maxx[start : start + rows] = x.max(axis=1, initial=0.0)
+        start += rows
     return ys, maxx
 
 
@@ -248,17 +262,12 @@ def phi_empirical(graph: BaseGraph, eta: float, trials: int, seed) -> np.ndarray
         raise ValueError("need at least one trial")
     rng = generator(seed)
     n = graph.n
+    keep_p = _keep_probs(graph, eta)
     acc = np.zeros((n, n))
-    rows = max(1, _CHUNK_CELLS // (n * n))
-    for _, keep in _subgraph_chunks(rng, _keep_probs(graph, eta), trials, rows):
-        labels = _kernels.bucket_labels(keep, n, graph.is_cycle)
+    for rows in _row_chunks(trials, n * n):
+        labels = _subgraph_labels(rng, keep_p, n, graph.is_cycle, rows)
         acc += (labels[:, :, None] == labels[:, None, :]).sum(axis=0)
     return acc / trials
-
-
-def phi_row_sum_total(graph: BaseGraph, eta: float) -> float:
-    """Closed-form sum of all entries of the expected join matrix."""
-    return _join_sum(graph.n, 1.0 - eta, graph.is_cycle)
 
 
 def min_eigenvalue(phi: np.ndarray) -> float:
@@ -287,6 +296,26 @@ def zeta_bound(graph: BaseGraph, *, eta: float | None = None,
     return float(math.exp(-m * q_mass / 2))
 
 
+def _pair_sums(x: np.ndarray) -> np.ndarray:
+    """Sum of x(x-1) over the last axis of the float64 counts `x`."""
+    pairs = x - 1.0
+    pairs *= x
+    return pairs.sum(axis=-1)
+
+
+def _collision_check(x: np.ndarray, m: float, n: int, d: int, nu: float, cycle: bool,
+                     alpha: float, margin: float):
+    """(max_x, Y, threshold_max, threshold) of bucket counts x, over the last axis.
+
+    Y = sum x(x-1)/m fails at the null mean (m/d^2)*sum(phi) plus `margin`, and
+    max_x at alpha*log(n).  By the necklace reduction it serves cc (d = n,
+    nu = 1 - eta) and each parity-trace symbol class (d = 2n, nu = exp(-m/2n)).
+    Sampled counts are integer-valued floats, so the sums are exact in any order.
+    """
+    threshold = (m / d**2) * _join_sum(n, nu, cycle) + margin
+    return x.max(axis=-1, initial=0.0), _pair_sums(x) / m, alpha * math.log(n), threshold
+
+
 _CC_STEPS = ("none", "concentration", "collision")
 
 
@@ -296,25 +325,21 @@ def _cc_rows(x, config: CCTesterConfig, n: int, m: float, graph: BaseGraph,
 
     Returns (step, max_count, Y, threshold_max, threshold), where step[i]
     indexes _CC_STEPS.  Empty buckets change neither statistic, so a row may
-    hold one entry per vertex.  The sums are over integer-valued floats in
-    the sampled case, so they are exact in any order.
+    hold one entry per vertex.
     """
     if not config.eta_in_range(n) and not override_range_check:
         raise ValueError(
             "eta below the admissible range for this (n, epsilon); "
             "pass override_range_check=True to run anyway"
         )
-    x = np.asarray(x, dtype=np.float64)
-    max_x = x.max(axis=1, initial=0.0)
+    if graph.n != n:
+        raise ValueError("graph and domain sizes differ")
     # max and min propagate NaN, so these reductions catch NaN, +-inf and negatives
-    if not (math.isfinite(max_x.max(initial=0.0)) and x.min(initial=0.0) >= 0):
+    if not (math.isfinite(x.max(initial=0.0)) and x.min(initial=0.0) >= 0):
         raise ValueError("bucket counts must be finite and non-negative")
-    pairs = x - 1.0
-    pairs *= x
-    y = pairs.sum(axis=1) / m
-    threshold_max = config.alpha * math.log(n)
-    threshold = (m / n**2) * phi_row_sum_total(graph, config.eta) \
-        + config.beta * (m / n) * config.epsilon**2 * config.eta
+    max_x, y, threshold_max, threshold = _collision_check(
+        x, m, n, n, 1.0 - config.eta, graph.is_cycle, config.alpha,
+        config.beta * (m / n) * config.epsilon**2 * config.eta)
     step = np.where(max_x >= threshold_max, 1, 2 * (y >= threshold))
     return step, max_x, y, threshold_max, threshold
 

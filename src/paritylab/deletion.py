@@ -61,7 +61,7 @@ class DeletionChannel:
 
 @dataclass(frozen=True)
 class TraceTestSpec:
-    """Parameters of one trace-testing task."""
+    """Parameters of one trace-testing task; no tester reads `k_traces`, only perfbench sets it."""
 
     n_chars: int
     n_blocks: int
@@ -346,7 +346,6 @@ def test_uniform_n_block_multitrace(traces: list[str], spec: TraceTestSpec,
         n_chars=spec.n_chars * k,
         n_blocks=spec.n_blocks * k,
         epsilon=spec.epsilon * (spec.concat_eps_scale if k > 1 else 1.0),
-        k_traces=1,
     )
     verdict = test_uniform_n_block(joined, inner, config, seed)
     stats = dict(verdict.statistics)

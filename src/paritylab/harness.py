@@ -14,29 +14,28 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from . import _kernels
 from .collector import (
     _CC_STEPS,
-    _CHUNK_CELLS,
     BaseGraph,
     CCTesterConfig,
     _cc_rows,
+    _confused_draw,
     _keep_probs,
-    sample_confused,
+    _row_chunks,
     test_uniformity_cc,
 )
 from .core import (
     PartialDistribution,
     PartialDistributionPair,
+    SampleMultiset,
     necklace_sums,
     parity_trace,
     runs_from_counts,
-    sample_exact,
-    sample_poissonized,
 )
 from .parity import (
     _PT_LARGE_STATS,
@@ -213,11 +212,12 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959964) -> tuple[f
 
 
 # ---------------------------------------------------------------------------
-# instances, configs and single trials for each registered tester
+# instances, setups, draws and single trials for each registered tester
 # ---------------------------------------------------------------------------
 
-def _cc_masses(point: dict, seed, rows: int) -> np.ndarray:
-    """Sampling distributions over Z_n of `rows` cc trials, shape (rows, n)."""
+def _masses(point: dict, seed, rows: int, bias: float) -> np.ndarray:
+    """Distributions over Z_n of `rows` trials, shape (rows, n): uniform or a far
+    instance, a paired one with pair bias `bias`."""
     kind = point.get("instance", "uniform")
     n = point["n"]
     if kind == "uniform":
@@ -225,140 +225,129 @@ def _cc_masses(point: dict, seed, rows: int) -> np.ndarray:
     if kind == "interval_far":
         return _interval_far_rows(n, point["epsilon"], seed, rows, point.get("width"))
     if kind == "paired_far":
-        # the odd part of a paired instance as a distribution over Z_n, rescaled to mass 1
-        return _paired_far_rows(n, min(1.0, 2 * point["epsilon"]), seed, rows)[1] * 2
+        # the odd part of a paired instance, rescaled to mass 1
+        return _paired_far_rows(n, bias, seed, rows)[1] * 2
     raise ValueError(f"unknown instance kind {kind!r}")
 
 
 def _pt_masses(point: dict, seed, rows: int) -> np.ndarray:
-    """Interleaved masses over [2n] of `rows` parity-trace trials, shape (rows, 2n).
-
-    The even part is uniform; the odd part is uniform or a far instance.
-    """
-    kind = point.get("instance", "uniform")
-    n = point["n"]
-    if kind == "uniform":
-        odd = np.full((rows, n), 0.5 / n)
-    elif kind == "paired_far":
-        odd = _paired_far_rows(n, point.get("bias", point["epsilon"]), seed, rows)[1]
-    elif kind == "interval_far":
-        odd = _interval_far_rows(n, point["epsilon"], seed, rows, point.get("width")) * 0.5
-    else:
-        raise ValueError(f"unknown instance kind {kind!r}")
-    out = np.full((rows, 2 * n), 0.5 / n)
-    out[:, 0::2] = odd
+    """Masses over [2n] of `rows` parity-trace trials: a uniform even part, odd part `_masses`/2."""
+    out = np.full((rows, 2 * point["n"]), 0.5 / point["n"])
+    out[:, 0::2] = 0.5 * _masses(point, seed, rows, point.get("bias", point["epsilon"]))
     return out
 
 
-def _pt_instance(point: dict, seed) -> PartialDistributionPair:
-    mass = _pt_masses(point, seed, 1)[0]
-    return PartialDistributionPair(PartialDistribution(mass[0::2]),
-                                   PartialDistribution(mass[1::2]))
+def _setup(tester: str, point: dict):
+    """(config, m) of a grid point.
 
-
-def _config(cls, point: dict, c_field: str):
-    """`cls` at its defaults, overridden by the fields the point names; "c" sets `c_field`.
-
-    A field without a default that the point does not name raises ValueError.
+    The config is the tester's defaults overridden by the fields the point
+    names, and "c" sets its sample-size constant; m is the point's "m", or
+    the tester's formula when it has none.  A config field without a
+    default that the point does not name, or an "m" that is not a positive
+    finite number, raises ValueError.
     """
+    cls, c_field, formula, _ = _TESTERS[tester]
     kwargs = {name: point[name] for name in cls.__dataclass_fields__ if name in point}
     if "c" in point:
         kwargs[c_field] = point["c"]
     for field in fields(cls):
         if field.name not in kwargs and field.default is MISSING:
             raise ValueError(f"grid point {point} has no {field.name!r}")
-    return cls(**kwargs)
+    cfg = cls(**kwargs)
+    m = point.get("m")
+    if m is None:
+        return cfg, formula(cfg, point["n"], point["epsilon"])
+    if not (isinstance(m, numbers.Real) and math.isfinite(m) and m > 0):
+        raise ValueError(f"grid point {point} needs a positive finite 'm'")
+    return cfg, m
+
+
+# One draw per tester for a trial and a grid point: `rng` draws edge masks and samples,
+# `inst` (a generator or a seed) instances; a point passes its one generator as both.
+
+def _cc_draw(point: dict, cfg: CCTesterConfig, graph: BaseGraph, m: float, rows: int,
+             rng, inst) -> np.ndarray:
+    """Bucket counts of `rows` cc trials, one row each."""
+    bias = min(1.0, 2 * point["epsilon"])
+    return _confused_draw(rng, graph, _keep_probs(graph, cfg.eta), m,
+                          lambda rows: _masses(point, inst, rows, bias), rows)[1]
+
+
+def _pt_large_draw(point: dict, m: float, rows: int, rng, inst) -> np.ndarray:
+    """Poissonized counts over [2n] of `rows` parity-trace trials."""
+    return rng.poisson(m * _pt_masses(point, inst, rows))
+
+
+def _pt_small_draw(point: dict, m: int, rows: int, rng, inst) -> np.ndarray:
+    """Counts over [2n] of `rows` parity-trace trials of exactly m draws each."""
+    pi = _pt_masses(point, inst, rows)
+    return rng.multinomial(m, pi / pi.sum(axis=1, keepdims=True))
 
 
 def run_cc_trial(point: dict, seed) -> Verdict:
     """One confused-collector run: draw instance, sample, test."""
-    n = point["n"]
-    cfg = _config(CCTesterConfig, point, "c")
-    graph = BaseGraph(point.get("graph", "cycle"), n)
-    m = point.get("m") or cfg.sample_size(n)
+    cfg, m = _setup("cc", point)
+    graph = BaseGraph(point.get("graph", "cycle"), point["n"])
     s_inst, s_run = split_seed(seed, 2)
-    p = _cc_masses(point, s_inst, 1)[0]
-    _, x = sample_confused(p, m, graph, cfg.eta, s_run)
-    return test_uniformity_cc(x, cfg, n, m, graph, override_range_check=point.get("override", False))
+    x = _cc_draw(point, cfg, graph, m, 1, generator(s_run), s_inst)[0]
+    return test_uniformity_cc(x, cfg, point["n"], m, graph,
+                              override_range_check=point.get("override", False))
 
 
 def run_pt_large_trial(point: dict, seed) -> Verdict:
-    cfg = _config(PTTesterConfig, point, "c_m")
-    n = point["n"]
-    m = point.get("m") or cfg.sample_size_large(n, point["epsilon"])
+    cfg, m = _setup("pt_large", point)
     s_inst, s_run = split_seed(seed, 2)
-    pair = _pt_instance(point, s_inst)
-    counts = sample_poissonized(pair, m, s_run)
-    runs = runs_from_counts(counts.counts)
-    return test_uniformity_pt_large(runs, n, point["epsilon"], cfg, m=m)
+    counts = _pt_large_draw(point, m, 1, generator(s_run), s_inst)[0]
+    return test_uniformity_pt_large(runs_from_counts(counts), point["n"], point["epsilon"],
+                                    cfg, m=m)
 
 
 def run_pt_small_trial(point: dict, seed) -> Verdict:
-    cfg = _config(PTTesterConfig, point, "c_small")
-    n = point["n"]
-    m = point.get("m") or cfg.sample_size_small(n, point["epsilon"])
+    cfg, m = _setup("pt_small", point)
     s_inst, s_run = split_seed(seed, 2)
-    pair = _pt_instance(point, s_inst)
-    trace = parity_trace(sample_exact(pair, m, s_run))
-    return test_uniformity_pt_small(trace, n, point["epsilon"], cfg)
+    counts = _pt_small_draw(point, m, 1, generator(s_run), s_inst)[0]
+    return test_uniformity_pt_small(parity_trace(SampleMultiset(counts)), point["n"],
+                                    point["epsilon"], cfg)
 
 
 # ---------------------------------------------------------------------------
 # a grid point as one batch: (accepted, statistic) arrays per chunk of trials
 # ---------------------------------------------------------------------------
 
-def _row_chunks(trials: int, cells: int):
-    """Row counts of the chunks of `trials` rows of `cells` cells each."""
-    step = max(1, _CHUNK_CELLS // cells)
-    for start in range(0, trials, step):
-        yield min(step, trials - start)
-
-
 def _cc_point(point: dict, trials: int, rng):
+    cfg, m = _setup("cc", point)
     n = point["n"]
-    cfg = _config(CCTesterConfig, point, "c")
     graph = BaseGraph(point.get("graph", "cycle"), n)
-    m = point.get("m") or cfg.sample_size(n)
-    keep_p = _keep_probs(graph, cfg.eta)
     for rows in _row_chunks(trials, n):
-        # no chunk-sized array outlives its use: a larger live set made the allocator
-        # return memory to the kernel and page-fault it back in on every chunk
-        labels = _kernels.bucket_labels(rng.random((rows, keep_p.size)) < keep_p, n,
-                                        graph.is_cycle)
-        counts = rng.poisson(m * _cc_masses(point, rng, rows))
-        # labels run over 0..k-1, so the columns past the largest k hold only zeros
-        x = _kernels.bucket_sums(counts, labels)[:, : labels.max() + 1]
+        x = _cc_draw(point, cfg, graph, m, rows, rng, rng)
         step, _, y, _, _ = _cc_rows(x, cfg, n, m, graph, point.get("override", False))
         fired = np.asarray(_CC_STEPS)[step]
         yield fired == "none", np.where(fired == "concentration", 0.0, y)
 
 
 def _pt_large_point(point: dict, trials: int, rng):
-    cfg = _config(PTTesterConfig, point, "c_m")
+    cfg, m = _setup("pt_large", point)
     n, epsilon = point["n"], point["epsilon"]
-    m = point.get("m") or cfg.sample_size_large(n, epsilon)
     for rows in _row_chunks(trials, 2 * n):
-        runs = necklace_sums(rng.poisson(m * _pt_masses(point, rng, rows)))
+        runs = necklace_sums(_pt_large_draw(point, m, rows, rng, rng))
         first, stats, _, _ = _pt_large_rows(runs, n, epsilon, cfg, m)
         yield np.asarray(_PT_LARGE_STEPS)[first] == "none", stats[_PT_LARGE_STATS.index("Y1")]
 
 
 def _pt_small_point(point: dict, trials: int, rng):
-    cfg = _config(PTTesterConfig, point, "c_small")
+    _, m = _setup("pt_small", point)
     n, epsilon = point["n"], point["epsilon"]
-    m = point.get("m") or cfg.sample_size_small(n, epsilon)
     for rows in _row_chunks(trials, 2 * n):
-        pi = _pt_masses(point, rng, rows)
-        counts = rng.multinomial(m, pi / pi.sum(axis=1, keepdims=True))
-        step, c_stat, _, _ = _pt_small_rows(counts, n, epsilon)
+        step, c_stat, _, _ = _pt_small_rows(_pt_small_draw(point, m, rows, rng, rng), n, epsilon)
         fired = np.asarray(_PT_SMALL_STEPS)[step]
         yield fired == "none", np.where(fired == "coverage", 0.0, c_stat)
 
 
-_POINTS = {
-    "cc": _cc_point,
-    "pt_large": _pt_large_point,
-    "pt_small": _pt_small_point,
+# per tester: config class, the field a point's "c" sets, sample-size formula, grid point
+_TESTERS = {
+    "cc": (CCTesterConfig, "c", lambda cfg, n, epsilon: cfg.sample_size(n), _cc_point),
+    "pt_large": (PTTesterConfig, "c_m", PTTesterConfig.sample_size_large, _pt_large_point),
+    "pt_small": (PTTesterConfig, "c_small", PTTesterConfig.sample_size_small, _pt_small_point),
 }
 
 
@@ -373,11 +362,12 @@ def estimate_acceptance(spec: ExperimentSpec) -> AcceptanceCurve:
     byte-identical across reruns.  The mean statistic is Y (cc), Y1
     (pt_large) or C (pt_small), counted as 0.0 on a trial rejected before
     the statistic is computed.  `run_cc_trial`, `run_pt_large_trial` and
-    `run_pt_small_trial` make one trial at a time from their own seed and
-    are the reference that the acceptance suite runs.
+    `run_pt_small_trial` make one trial from their own seed through the
+    same draw and checks; the reference for both is the verdicts and CSV
+    bytes that the tests pin by digest.
     """
     try:
-        point_fn = _POINTS[spec.tester]
+        point_fn = _TESTERS[spec.tester][3]
     except KeyError:
         raise ValueError(f"unknown tester {spec.tester!r}") from None
     param_keys = sorted({k for point in spec.grid for k in point})

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .collector import _CHUNK_CELLS, BaseGraph, _keep_probs, _subgraph_chunks, phi_from_keep_probs
+from .collector import BaseGraph, _keep_probs, _row_chunks, _subgraph_labels, phi_from_keep_probs
 from .rng import generator
 
 __all__ = [
@@ -86,8 +86,7 @@ def uniform_conjugate(q, m: float, p=None) -> ConjugateReport:
     return ConjugateReport(p_tilde=p_tilde, tau=tau, xi=xi, residual=residual, z=z)
 
 
-def simulated_bucket_means(q, values, m: float, trials: int, seed,
-                           chunk: int = 20000) -> np.ndarray:
+def simulated_bucket_means(q, values, m: float, trials: int, seed) -> np.ndarray:
     """Monte Carlo estimate of E[values[bucket containing i]] for every i.
 
     Draws the subgraph with edge survival exp(-m*q_j) and averages the
@@ -99,9 +98,10 @@ def simulated_bucket_means(q, values, m: float, trials: int, seed,
     vals = np.asarray(values, dtype=np.float64)
     n = qw.size
     rng = generator(seed)
+    keep_p = np.exp(-m * qw)
     acc = np.zeros(n)
-    for _, keep in _subgraph_chunks(rng, np.exp(-m * qw), trials, chunk):
-        labels = _kernels.bucket_labels(keep, n, True)
+    for rows in _row_chunks(trials, n):
+        labels = _subgraph_labels(rng, keep_p, n, True, rows)
         sums = _kernels.bucket_sums(np.broadcast_to(vals, labels.shape), labels)
         acc += np.take_along_axis(sums, labels, axis=1).sum(axis=0)
     return acc / trials
@@ -157,17 +157,18 @@ def variance_components(p, graph: BaseGraph, m: float, trials: int, seed,
     if trials < 1000:
         raise ValueError("need at least 1e3 trials for a stable split")
     pw = np.asarray(getattr(p, "weights", p), dtype=np.float64)
+    if pw.shape != (graph.n,):
+        raise ValueError("distribution and graph sizes differ")
     keep_p = _keep_probs(graph, eta, weights)
     rng = generator(seed)
-    cond_mean = np.empty(trials)
-    cond_var = np.empty(trials)
-    chunk = max(1, _CHUNK_CELLS // graph.n)
-    for rows, keep in _subgraph_chunks(rng, keep_p, trials, chunk):
-        values = np.broadcast_to(pw, (keep.shape[0], graph.n))
-        mom = _kernels.bucket_moments(values, keep, graph.is_cycle)
-        cond_mean[rows] = m * mom[:, 0]
-        cond_var[rows] = 2.0 * mom[:, 0] + 4.0 * m * mom[:, 1]
-    return float(cond_mean.var(ddof=1)), float(cond_var.mean())
+    sq, cube = [], []
+    for rows in _row_chunks(trials, graph.n):
+        labels = _subgraph_labels(rng, keep_p, graph.n, graph.is_cycle, rows)
+        s = _kernels.bucket_sums(np.broadcast_to(pw, labels.shape), labels)
+        sq.append(np.sum(s * s, axis=1))
+        cube.append(np.sum(s * s * s, axis=1))
+    sq, cube = np.concatenate(sq), np.concatenate(cube)
+    return float((m * sq).var(ddof=1)), float((2.0 * sq + 4.0 * m * cube).mean())
 
 
 def tanh_checks(r_grid=None, x_steps: int = 64, n_vectors: int = 32,

@@ -5,6 +5,10 @@ symmetrically.  For moderate distance parameters the tester thresholds
 the run-length collision statistic of each class; for tiny distances it
 falls back to coupon collection plus a standard histogram tester on the
 recovered multiplicities.
+
+A one-run is a bucket of odd necklace slots, joined where the even slot
+between them is empty (zero-runs likewise): a confused collector with
+d = 2n and nu = exp(-m/2n), checked by `collector._collision_check`.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collector import _join_matrix, _join_sum
+from .collector import _collision_check, _join_matrix, _join_sum, _pair_sums
 from .core import RunLengthTrace, circular_runs, linear_runs
 from .verdict import Verdict
 
@@ -99,10 +103,8 @@ def _collision_rows(x, domain_size: int, epsilon: float):
     """
     x = np.asarray(x, dtype=np.float64)
     m = x.sum(axis=1)
-    pairs = x - 1.0
-    pairs *= x
     den = m * (m - 1.0)
-    c_stat = pairs.sum(axis=1) / np.where(den > 0, den, np.nan)
+    c_stat = _pair_sums(x) / np.where(den > 0, den, np.nan)
     threshold = (1.0 + epsilon**2 / 2.0) / domain_size
     return m, c_stat, threshold, c_stat > threshold
 
@@ -148,23 +150,18 @@ def _pt_large_rows(runs, n: int, epsilon: float, config: PTTesterConfig, m: floa
     """
     if not m > 0:
         raise ValueError(f"the large-eps tester needs a positive sample size, got m={m}")
-    threshold_y = (m / (4 * n**2)) * phi_mu_sum(n, m) + config.beta * epsilon**2 * m**2 / n**2
-    threshold_run = config.alpha * math.log(n)
     x = np.asarray(runs, dtype=np.float64)
-    stats = np.empty((2, 3, x.shape[1]))  # (class, statistic, row)
-    n_sym, max_run, y = stats[:, 0], stats[:, 1], stats[:, 2]
-    x.sum(axis=2, out=n_sym)
-    x.max(axis=2, initial=0.0, out=max_run)
-    pairs = x - 1.0
-    pairs *= x
-    pairs.sum(axis=2, out=y)
-    y /= m
+    max_run, y, threshold_run, threshold_y = _collision_check(
+        x, m, n, 2 * n, math.exp(-m / (2 * n)), True, config.alpha,
+        config.beta * epsilon**2 * m**2 / n**2)
+    n_sym = x.sum(axis=2)
     # rows 0-5 hold the checks in order as (class, check); row 6, "none", always holds
     failed = np.ones((7, x.shape[1]), dtype=np.bool_)
     checks = failed[:6].reshape(2, 3, -1)
     np.greater_equal(n_sym / m, 0.5 + config.gamma / math.sqrt(m), out=checks[:, 0])
     np.logical_and(n_sym > 0, max_run >= threshold_run, out=checks[:, 1])  # a run must exist
     np.greater_equal(y, threshold_y, out=checks[:, 2])
+    stats = np.stack((n_sym, max_run, y), axis=1)  # (class, statistic, row)
     return failed.argmax(axis=0), stats.reshape(6, -1), threshold_y, threshold_run
 
 

@@ -1,6 +1,7 @@
 """A grid point as one batch: row-wise checks against the per-trial testers."""
 
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -157,6 +158,21 @@ def test_batched_and_per_trial_rates_agree(tester, point):
 def test_mean_statistic_counts_early_rejects_as_zero(tester, point):
     row = estimate_acceptance(ExperimentSpec(tester, [point], 50, 4)).rows[0]
     assert row[-4:] == (0.0, 0.0, pytest.approx(0.0713, abs=1e-4), 0.0)
+
+
+@pytest.mark.parametrize("tester,point", [
+    ("cc", {"n": 64, "epsilon": 0.3, "eta": 0.5}),
+    ("pt_large", {"n": 64, "epsilon": 0.3}),
+    ("pt_small", {"n": 8, "epsilon": 0.3}),
+])
+@pytest.mark.parametrize("m", [0, -3.0, math.nan, math.inf, "100"])
+def test_a_point_m_that_is_not_positive_and_finite_raises(tester, point, m):
+    # "m": 0 used to run the trials at the formula's m while the CSV row reported 0
+    bad = dict(point, m=m)
+    with pytest.raises(ValueError, match="'m'"):
+        estimate_acceptance(ExperimentSpec(tester, [bad], 3, 1))
+    with pytest.raises(ValueError, match="'m'"):
+        RUN_TRIAL[tester](bad, 1)
 
 
 def test_pt_large_point_memory_is_bounded_by_the_chunk(monkeypatch):

@@ -8,12 +8,12 @@ import pytest
 from paritylab.collector import (
     BaseGraph,
     CCTesterConfig,
+    _join_sum,
     confused_trials,
     min_eigenvalue,
     phi_empirical,
     phi_expected,
     phi_from_keep_probs,
-    phi_row_sum_total,
     sample_confused,
     zeta_bound,
 )
@@ -64,12 +64,38 @@ def test_phi_empirical_memory_is_bounded():
     assert peak < 16 * 2**20
 
 
+def test_confused_trials_memory_is_bounded_by_the_chunk():
+    # chunks hold about _CHUNK_CELLS cells; one chunk of 20000 trials at n=256 held 162 MiB
+    g = BaseGraph("cycle", 256)
+    p = np.full(256, 1 / 256)
+    confused_trials(p, 512.0, g, 0.5, 10, seed=1)  # first-call allocations stay untraced
+    extra = []
+    for trials in (2000, 20000):
+        tracemalloc.start()
+        try:
+            confused_trials(p, 512.0, g, 0.5, trials, seed=1)
+            # the peak beyond the two float64 arrays returned
+            extra.append(tracemalloc.get_traced_memory()[1] - 16 * trials)
+        finally:
+            tracemalloc.stop()
+    assert extra[1] <= extra[0] * 1.05 and extra[1] < 8 * 2**20
+
+
+def test_mass_vector_must_match_the_graph():
+    # a length-1 vector used to broadcast over every vertex of the graph
+    g = BaseGraph("cycle", 64)
+    with pytest.raises(ValueError, match="sizes differ"):
+        confused_trials(np.array([0.5]), 200.0, g, 0.5, 10, seed=1)
+    with pytest.raises(ValueError, match="sizes differ"):
+        sample_confused(np.array([0.5]), 200.0, g, 0.5, seed=1)
+
+
 def test_phi_row_sum_closed_form():
     for kind in ("path", "cycle"):
         for n in (2, 5, 16):
             for eta in (0.05, 0.4, 1.0):
                 g = BaseGraph(kind, n)
-                assert phi_row_sum_total(g, eta) == pytest.approx(
+                assert _join_sum(n, 1.0 - eta, g.is_cycle) == pytest.approx(
                     phi_expected(g, eta).sum(), rel=1e-9
                 )
 
@@ -172,9 +198,9 @@ def test_bucket_sizes_rarely_large():
     from paritylab.rng import generator
 
     gen = generator(13)
-    keep = gen.random((trials, n)) < (1 - eta)
-    mom = _kernels.bucket_moments(np.ones((trials, n)), keep, True)
-    frac = np.mean(mom[:, 2] > cap)
+    labels = _kernels.bucket_labels(gen.random((trials, n)) < (1 - eta), n, True)
+    sizes = _kernels.bucket_sums(np.ones((trials, n)), labels)
+    frac = np.mean(sizes.max(axis=1) > cap)
     assert frac < 1.0 / n**K + 3e-4
 
 
@@ -205,6 +231,12 @@ def test_tester_rejects_non_finite_and_negative_counts(bad):
     x[3] = bad
     with pytest.raises(ValueError):
         cc_verdict(x, cfg, n, cfg.sample_size(n), BaseGraph("cycle", n))
+
+
+def test_tester_rejects_a_graph_of_another_size():
+    cfg = CCTesterConfig(epsilon=0.3, eta=0.5)
+    with pytest.raises(ValueError, match="sizes differ"):
+        cc_verdict(np.ones(64), cfg, 64, 100.0, BaseGraph("cycle", 32), override_range_check=True)
 
 
 def test_tester_requires_range_check():

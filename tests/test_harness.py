@@ -19,20 +19,19 @@ from paritylab.harness import (
     interval_far_distribution,
     wilson_interval,
 )
-from paritylab.harness import _config as trial_config
+from paritylab.harness import _setup
 from paritylab.parity import PTTesterConfig
 
 
 def test_trial_configs_start_from_the_dataclass_defaults():
     # a point overrides the fields it names; its "c" is the tester's size constant
     point = {"n": 8, "epsilon": 0.3, "c": 7.0, "gamma": 1.0}
-    assert trial_config(PTTesterConfig, point, "c_m") == PTTesterConfig(c_m=7.0, gamma=1.0)
-    assert trial_config(PTTesterConfig, point, "c_small") == PTTesterConfig(c_small=7.0,
-                                                                              gamma=1.0)
+    assert _setup("pt_large", point)[0] == PTTesterConfig(c_m=7.0, gamma=1.0)
+    assert _setup("pt_small", point)[0] == PTTesterConfig(c_small=7.0, gamma=1.0)
     point = {"n": 8, "epsilon": 0.3, "eta": 0.5, "L": 0.2}
-    assert trial_config(CCTesterConfig, point, "c") == CCTesterConfig(0.3, 0.5, L=0.2)
+    assert _setup("cc", point)[0] == CCTesterConfig(0.3, 0.5, L=0.2)
     with pytest.raises(ValueError, match="'eta'"):  # a field without a default
-        trial_config(CCTesterConfig, {"n": 8, "epsilon": 0.3}, "c")
+        _setup("cc", {"n": 8, "epsilon": 0.3})
 
 
 def test_domino_yes_is_exactly_uniform():
@@ -233,6 +232,7 @@ def test_cli_experiment_csv(tmp_path):
 @pytest.mark.parametrize("point,missing", [
     ({"n": 64, "epsilon": 0.3}, "'eta'"),
     ({"n": 64, "eta": 0.5}, "'epsilon'"),
+    ({"n": 64, "epsilon": 0.3, "eta": 0.5, "m": 0}, "'m'"),  # not the formula's m
 ])
 def test_cli_experiment_missing_field_exits_2(tmp_path, point, missing):
     sfile = tmp_path / "spec.json"

@@ -157,6 +157,13 @@ def test_variance_components_single_bucket_formula():
     assert var_t == pytest.approx(2 * s**2 + 4 * m * s**3, rel=1e-9)
 
 
+def test_variance_components_rejects_a_mass_vector_of_the_wrong_size():
+    # a length-1 vector used to broadcast to total mass 32 on 64 vertices
+    with pytest.raises(ValueError, match="sizes differ"):
+        variance_components(np.array([0.5]), BaseGraph("cycle", 64), 10.0, trials=1000, seed=1,
+                            eta=0.5)
+
+
 def test_variance_components_sum_matches_direct_variance():
     rng = generator(10)
     n = 32
