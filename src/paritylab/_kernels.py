@@ -3,9 +3,13 @@
 The Monte Carlo loops (bucket statistics over random subgraphs), the edit
 distance DP, the alternating-labeling DP, and the circular-interval scan
 dominate the runtime of the test suites.  Each kernel has one
-implementation: numpy array code, except the edit distance, a bit-parallel
-DP over Python ints.  All randomness is drawn by the callers, outside the
-kernels.  ``paritylab.benchmarks`` times every kernel.
+implementation in numpy, except the edit distance, which has two exact
+paths: a bit-parallel DP over Python ints, and a DP over pairs of runs
+that wins on block strings of few long runs (at N=16384, below about 64
+runs per string; at N=1024, below about 8).  `levenshtein` picks one by a
+cost rule on the lengths and run counts.  `bit_runs` is the one run
+extractor.  All randomness is drawn by the callers, outside the kernels.
+``paritylab.benchmarks`` times every kernel.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 _INF = np.int64(1) << 40
+_LABELS = np.array([[0], [1]])  # both labels as a column, against a row of run values
 
 # Always False: there is no compiled kernel path.  Kept only because
 # perfbench records it in its environment line.
@@ -21,6 +26,7 @@ USE_NUMBA = False
 __all__ = [
     "bucket_labels",
     "bucket_sums",
+    "bit_runs",
     "levenshtein",
     "alternating_fit_tables",
     "interval_scan",
@@ -70,11 +76,64 @@ def bucket_sums(values: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# maximal runs of a 0/1 array
+# ---------------------------------------------------------------------------
+
+def bit_runs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, lengths) of the maximal constant runs of `bits`, left to right."""
+    bits = np.asarray(bits)
+    n = bits.size
+    if n == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    bounds = np.empty(n + 1, dtype=np.bool_)
+    bounds[0] = bounds[n] = True
+    np.not_equal(bits[1:], bits[:-1], out=bounds[1:n])
+    at = np.flatnonzero(bounds)  # the first index of every run, then n
+    return bits[at[:-1]].astype(np.int64), at[1:] - at[:-1]
+
+
+# ---------------------------------------------------------------------------
 # unit-cost edit distance (insert / delete / substitute)
 # ---------------------------------------------------------------------------
 
+# Cost model of the two edit-distance paths, in nanoseconds, fitted to
+# best-of-3 timings on a 2-vCPU VM (Python 3.11, numpy 2.4) over block
+# strings of N in {256, ..., 16384} characters and K in {2, ..., 128} runs.
+# Bit-parallel: per character of the longer string, a fixed cost plus one per
+# 64-bit word of the shorter.  Runs: per pair of runs, a fixed cost plus one
+# per boundary cell of the pair's rectangle.
+_BIT_CHAR_NS, _BIT_WORD_NS = 900, 23
+_RUN_PAIR_NS, _RUN_CELL_NS = 12_000, 20
+
+
 def levenshtein(a: np.ndarray, b: np.ndarray) -> int:
-    """Unit-cost edit distance between two 0/1 arrays, bit-parallel.
+    """Unit-cost edit distance between two 0/1 arrays.
+
+    Two exact paths: the bit-parallel DP over characters, and a DP over
+    pairs of runs.  The cost model above picks the cheaper from the lengths
+    and run counts alone.  Strings whose bit-parallel cost is under 0.1 ms
+    skip counting runs; random strings (runs of about two characters) stay
+    bit-parallel, and block strings with few long runs, such as the psi
+    strings of distributions with a few dozen values, take the run path.
+    """
+    a = np.asarray(a, dtype=np.uint8)
+    b = np.asarray(b, dtype=np.uint8)
+    if a.size < b.size:
+        a, b = b, a
+    if b.size == 0:
+        return int(a.size)
+    bit_ns = a.size * (_BIT_CHAR_NS + _BIT_WORD_NS * -(-b.size // 64))
+    if bit_ns > 100_000:
+        ka = 1 + np.count_nonzero(a[1:] != a[:-1])
+        kb = 1 + np.count_nonzero(b[1:] != b[:-1])
+        run_ns = _RUN_PAIR_NS * ka * kb + _RUN_CELL_NS * (ka * b.size + kb * a.size)
+        if run_ns < bit_ns:
+            return _levenshtein_runs(*(x.tolist() for x in bit_runs(a) + bit_runs(b)))
+    return _levenshtein_bits(a, b)
+
+
+def _levenshtein_bits(a: np.ndarray, b: np.ndarray) -> int:
+    """Bit-parallel edit distance; `b` is the shorter, non-empty string.
 
     Myers' recurrence (J. ACM 46(3), 1999) in Hyyro's global-distance form
     (2003).  The shorter string is the pattern of m bits; one Python int
@@ -86,13 +145,7 @@ def levenshtein(a: np.ndarray, b: np.ndarray) -> int:
     and `mv` stays inside `xv`.  Plain ``full ^ x`` stands in for ``~x``
     because negative ints are slow.
     """
-    a = np.asarray(a, dtype=np.uint8)
-    b = np.asarray(b, dtype=np.uint8)
-    if a.size < b.size:
-        a, b = b, a
     m = b.size
-    if m == 0:
-        return int(a.size)
     one = int.from_bytes(np.packbits(b, bitorder="little").tobytes(), "little")
     full = (1 << m) - 1
     peq = (full ^ one, one)  # pattern positions holding 0, holding 1
@@ -110,40 +163,133 @@ def levenshtein(a: np.ndarray, b: np.ndarray) -> int:
         mv = ph & xv
     return score
 
+
+def _window_min(x: np.ndarray, s: int) -> np.ndarray:
+    """out[i] = min(x[max(0, i - s + 1) : i + 1]), the minimum of the last s values.
+
+    van Herk (1992) / Gil & Werman (1993): in blocks of s, the prefix minimum
+    of the block holding i joined with the suffix minimum of the block before.
+    """
+    out = np.minimum.accumulate(x[:s])
+    if s >= x.size:
+        return out
+    out = np.concatenate((out, np.empty(x.size - s, dtype=x.dtype)))
+    for start in range(s, x.size, s):
+        stop = min(start + s, x.size)
+        np.minimum.accumulate(x[start:stop], out=out[start:stop])
+        # tail[u] = min(x[start - s + 1 + u : start]), the window's part in the block before
+        tail = np.minimum.accumulate(x[start - s + 1:start][::-1])[::-1]
+        head = min(stop - start, s - 1)
+        np.minimum(out[start:start + head], tail[:head], out=out[start:start + head])
+    return out
+
+
+def _cone(out: np.ndarray, suffix: np.ndarray, ramp: np.ndarray) -> None:
+    """out[i] = min(out[i], i + suffix[min(i, len(suffix) - 1)]), in place."""
+    k = min(out.size, suffix.size)
+    np.minimum(out[:k], ramp[:k] + suffix[:k], out=out[:k])
+    if out.size > k:
+        np.minimum(out[k:], ramp[k:out.size] + suffix[-1], out=out[k:])
+
+
+def _levenshtein_runs(a_values, a_lengths, b_values, b_lengths) -> int:
+    """Edit distance of two run-length encoded strings, exact.
+
+    The DP table splits into one rectangle per pair of runs (Arbell, Landau
+    & Mitchell, IPL 83(6), 2002).  A rectangle's bottom row and right column
+    follow from its top row T and left column L, which share the corner:
+
+    * same symbol: every cell equals its diagonal predecessor, so the
+      outputs are T and L read along diagonals;
+    * different symbols: every step inside costs 1, so a cell is the least
+      boundary value plus the Chebyshev distance to it.  DP rows and columns
+      are 1-Lipschitz, which leaves, for a rectangle of h rows and w
+      columns, bottom[b] = min(h + min T[b-h..b], b + min L[h-b..h]) and
+      right[a] = min(w + min L[a-w..a], a + min T[w-a..w]): a sliding-window
+      minimum and a suffix minimum per side.
+
+    Work is O(K_a K_b) numpy calls over O(K_a M + K_b N) cells, for K_a, K_b
+    runs of lengths N, M.  Rows of rectangles sweep the runs of `a`; `row`
+    holds the DP row at the bottom of the last one.
+    """
+    n, m = sum(a_lengths), sum(b_lengths)
+    ramp = np.arange(max(n, m) + 1, dtype=np.int64)
+    row = ramp[:m + 1]
+    i0 = 0
+    for sym_a, h in zip(a_values, a_lengths):
+        left = ramp[i0:i0 + h + 1]  # column 0: i deletions
+        below = np.empty(m + 1, dtype=np.int64)
+        below[0] = i0 + h
+        j0 = 0
+        for sym_b, w in zip(b_values, b_lengths):
+            top = row[j0:j0 + w + 1]
+            bottom = below[j0:j0 + w + 1]  # bottom[0] is already set
+            if sym_a == sym_b:
+                # diagonals: bottom[b] = left[h-b] or top[b-h]; right[a] = top[w-a] or left[a-w]
+                if w <= h:
+                    bottom[1:] = left[h - w:h][::-1]
+                    right = np.concatenate((top[::-1], left[1:h - w + 1]))
+                else:
+                    bottom[1:h + 1] = left[:h][::-1]
+                    bottom[h + 1:] = top[1:w - h + 1]
+                    right = top[w - h:][::-1]
+            else:
+                suffix_left = np.minimum.accumulate(left[::-1])  # min(left[h-t:])
+                suffix_top = np.minimum.accumulate(top[::-1])  # min(top[w-t:])
+                out = _window_min(top, h + 1)
+                out += h
+                _cone(out, suffix_left, ramp)
+                bottom[1:] = out[1:]
+                right = _window_min(left, w + 1)
+                right += w
+                _cone(right, suffix_top, ramp)
+            left = right
+            j0 += w
+        row = below
+        i0 += h
+    return int(row[m])
+
+
 # ---------------------------------------------------------------------------
-# best <= k-alternating labeling of a bit sequence (min disagreements)
+# best <= k-alternating labeling of a run sequence (min disagreements)
 # ---------------------------------------------------------------------------
 
-def alternating_fit_tables(bits: np.ndarray, k: int):
+def alternating_fit_tables(values: np.ndarray, k: int, lengths: np.ndarray | None = None):
     """DP over (flips used, current label); returns (final dp, choice tensor).
 
-    dp[j, v] is the fewest disagreements of a labeling of all points with
-    exactly j flips and last label v.  choice[j, v, i] is True when the best
-    path entering point i in state (j, v) came by a flip from (j-1, 1-v);
-    ties keep the label.
+    Run r holds lengths[r] points, all of symbol values[r]; without
+    `lengths` every run is one point.  A labeling is constant on each run:
+    an optimal one never cuts inside a run, so callers pass the maximal runs
+    of a bit sequence (`bit_runs`) and at most (runs - 1) flips.  dp[j, v] is
+    the fewest disagreements of a labeling of all runs with exactly j flips
+    and last label v.  choice[j, v, r] is True when the best path entering
+    run r in state (j, v) came by a flip from (j-1, 1-v); ties keep the label.
 
     Bellman's segmentation DP (CACM 4(6), 1961) in min-plus prefix form:
-    with C_v(i) the count of the first i points that disagree with v and
-    S_j[v][i] the best cost of i points in state (j, v), T = S_j[v] - C_v
-    obeys T[i+1] = min(T[i], S_{j-1}[1-v][i] - C_v(i)).  So each flip count
+    with C_v(r) the points of the first r runs that disagree with v and
+    S_j[v][r] the best cost of r runs in state (j, v), T = S_j[v] - C_v
+    obeys T[r+1] = min(T[r], S_{j-1}[1-v][r] - C_v(r)).  So each flip count
     is one running minimum over both labels, a flip is taken where it drops,
-    and two layers are held.  Layers j > m need more flips than points: they
-    stay at _INF with no flips, so at most min(k, m) passes run.
+    and two layers are held.  Layers j > R need more flips than runs: they
+    stay at _INF with no flips, so at most min(k, R) passes run.
     """
-    bits = np.asarray(bits, dtype=np.int64)
-    m = bits.size
-    cost = np.zeros((2, m + 1), dtype=np.int64)  # C_v(i)
-    np.cumsum(bits != 0, out=cost[0, 1:])
-    np.cumsum(bits != 1, out=cost[1, 1:])
-    # S_{j-1}[1-v][i] - C_v(i) = T_{j-1}[1-v][i] + (C_{1-v}(i) - C_v(i))
+    values = np.asarray(values, dtype=np.int64)
+    m = values.size
+    cost = np.zeros((2, m + 1), dtype=np.int64)  # C_v(r)
+    np.not_equal(values, _LABELS, out=cost[:, 1:])
+    if lengths is not None:
+        cost[:, 1:] *= lengths
+    cost.cumsum(axis=1, out=cost)
+    # S_{j-1}[1-v][r] - C_v(r) = T_{j-1}[1-v][r] + (C_{1-v}(r) - C_v(r))
     shift = cost[::-1, :m] - cost[:, :m]
-    dp = np.full((k + 1, 2), _INF, dtype=np.int64)
+    dp = np.empty((k + 1, 2), dtype=np.int64)
+    dp[1:] = _INF
     choice = np.zeros((k + 1, 2, m), dtype=np.bool_)
     dp[0] = cost[:, m]
     prev = np.zeros((2, m + 1), dtype=np.int64)  # T_0
     cur = np.empty_like(prev)
     for j in range(1, min(k, m) + 1):
-        cur[:, 0] = _INF  # T_j[v][0] = S_j[v][0]: no flip before the first point
+        cur[:, 0] = _INF  # T_j[v][0] = S_j[v][0]: no flip before the first run
         np.add(prev[::-1, :m], shift, out=cur[:, 1:])
         np.minimum.accumulate(cur, axis=1, out=cur)
         np.less(cur[:, 1:], cur[:, :m], out=choice[j])

@@ -3,8 +3,11 @@ one `estimate_acceptance` grid point per tester, and of one pass through
 the deletion pipeline.
 
 Run as ``python -m paritylab.benchmarks`` or ``paritylab bench``.  Each
-kernel has one implementation, so each row shows one time, beside the
-shape of the case it ran.  The tester rows run 30 trials of the uniform
+row shows one time, beside the shape of the case it ran.  `levenshtein`
+has two exact paths and picks one from the input: its random-string row
+runs the bit-parallel DP, and its psi row (two distributions on 28 and
+22 values at N=16384, the desk_large shape of `dist_edit_bounds`) the DP
+over pairs of runs.  The tester rows run 30 trials of the uniform
 instance at the acceptance suite's shapes; the pipeline row runs
 `deletion_trace` then `poissonize` on a uniform 64-block string.
 """
@@ -16,6 +19,7 @@ import time
 import numpy as np
 
 from . import _kernels
+from .core import SampleMultiset, parity_trace, parse_bits
 from .deletion import deletion_trace, poissonize, uniform_block_string
 from .harness import ExperimentSpec, estimate_acceptance
 from .rng import generator
@@ -50,7 +54,12 @@ def _cases():
     b = a.copy()
     flips = rng.choice(4096, size=200, replace=False)
     b[flips] ^= 1
-    yield "levenshtein", "N=M=4096", _kernels.levenshtein, (a, b)
+    yield "levenshtein", "random N=M=4096", _kernels.levenshtein, (a, b)
+    # psi strings of two distributions on 28 and 22 values: one run per value
+    n, psi_rng = 16384, generator(16384)
+    a, b = (parse_bits(parity_trace(SampleMultiset(psi_rng.multinomial(n, np.full(k, 1 / k)))))
+            for k in (28, 22))
+    yield "levenshtein", f"psi N=M={n} K=28,22", _kernels.levenshtein, (a, b)
 
     # (20000, 15), and the desk_large shape of dist_to_nblock
     for size, k in ((20000, 15), (16384, 63)):

@@ -165,13 +165,7 @@ def parse_bits(trace: str) -> np.ndarray:
 
 def linear_runs(trace: str) -> tuple[np.ndarray, np.ndarray]:
     """(values, lengths) of the maximal constant runs of `trace`, left to right."""
-    if not trace:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    bits = parse_bits(trace)
-    edges = np.flatnonzero(np.diff(bits)) + 1
-    starts = np.concatenate(([0], edges))
-    ends = np.concatenate((edges, [bits.size]))
-    return bits[starts].astype(np.int64), (ends - starts).astype(np.int64)
+    return _kernels.bit_runs(parse_bits(trace))
 
 
 def circular_runs(trace: str) -> RunLengthTrace:

@@ -189,17 +189,22 @@ class LearnedAlternating:
 def _fit_alternating(bits: np.ndarray, k: int) -> tuple[int, np.ndarray, int]:
     """(label of point 0, cut indices, disagreements) of the best labeling of
     `bits` with at most k flips; cut c flips the label between points c-1
-    and c.  Ties prefer fewer flips; the backtrack is one numpy call per cut.
+    and c.  Ties prefer fewer flips.  The DP runs over the maximal runs of
+    `bits`: an optimal labeling with the fewest flips never cuts inside a
+    run, so the fit is the per-point one, and at most (runs - 1) flips are
+    tried.  The backtrack is one numpy call per cut.
     """
     if bits.size == 0:
         return 1, np.empty(0, dtype=np.int64), 0
-    dp, choice = _kernels.alternating_fit_tables(bits, k)
+    values, lengths = _kernels.bit_runs(bits)
+    dp, choice = _kernels.alternating_fit_tables(values, min(k, values.size - 1), lengths)
+    starts = lengths.cumsum() - lengths  # the first point of each run
     j, v = np.unravel_index(int(np.argmin(dp)), dp.shape)
-    cuts, end = [], bits.size
-    # a state with j > 0 flips was entered by a flip, the last one before `end`
+    cuts, end = [], values.size
+    # a state with j > 0 flips was entered by a flip, the last one before run `end`
     while j > 0:
         end = int(np.flatnonzero(choice[j, v, :end])[-1])
-        cuts.append(end)
+        cuts.append(starts[end])
         j, v = j - 1, 1 - v
     return int(v), np.array(cuts[::-1], dtype=np.int64), int(dp.min())
 

@@ -224,5 +224,8 @@ def dist_to_nblock(x, n_blocks: int) -> float:
     bits = _as_bits_array(x)
     if bits.size == 0:
         return 0.0
-    dp, _ = _kernels.alternating_fit_tables(bits.astype(np.int64), n_blocks - 1)
+    values, lengths = _kernels.bit_runs(bits)
+    # an optimal labeling never cuts inside a run, so more than (runs - 1) flips never help
+    k = min(n_blocks - 1, values.size - 1)
+    dp, _ = _kernels.alternating_fit_tables(values, k, lengths)
     return float(dp.min()) / bits.size

@@ -244,7 +244,8 @@ def _setup(tester: str, point: dict):
     names, and "c" sets its sample-size constant; m is the point's "m", or
     the tester's formula when it has none.  A config field without a
     default that the point does not name, or an "m" that is not a positive
-    finite number, raises ValueError.
+    finite number, raises ValueError; so do a bool "m", and for pt_small,
+    whose m is a count of draws, an "m" that is not a whole number.
     """
     cls, c_field, formula, _ = _TESTERS[tester]
     kwargs = {name: point[name] for name in cls.__dataclass_fields__ if name in point}
@@ -257,8 +258,10 @@ def _setup(tester: str, point: dict):
     m = point.get("m")
     if m is None:
         return cfg, formula(cfg, point["n"], point["epsilon"])
-    if not (isinstance(m, numbers.Real) and math.isfinite(m) and m > 0):
+    if isinstance(m, bool) or not (isinstance(m, numbers.Real) and math.isfinite(m) and m > 0):
         raise ValueError(f"grid point {point} needs a positive finite 'm'")
+    if tester == "pt_small" and m != int(m):
+        raise ValueError(f"grid point {point} needs a whole number 'm' of draws")
     return cfg, m
 
 

@@ -160,14 +160,22 @@ def test_mean_statistic_counts_early_rejects_as_zero(tester, point):
     assert row[-4:] == (0.0, 0.0, pytest.approx(0.0713, abs=1e-4), 0.0)
 
 
-@pytest.mark.parametrize("tester,point", [
-    ("cc", {"n": 64, "epsilon": 0.3, "eta": 0.5}),
-    ("pt_large", {"n": 64, "epsilon": 0.3}),
-    ("pt_small", {"n": 8, "epsilon": 0.3}),
+M_POINTS = [("cc", {"n": 64, "epsilon": 0.3, "eta": 0.5}),
+            ("pt_large", {"n": 64, "epsilon": 0.3}),
+            ("pt_small", {"n": 8, "epsilon": 0.3})]
+
+
+@pytest.mark.parametrize("tester,point,m", [
+    pytest.param(tester, point, m, id=f"{m}-{tester}-point{i}")
+    for m in [0, -3.0, math.nan, math.inf, "100", True]
+    for i, (tester, point) in enumerate(M_POINTS)
+] + [
+    # pt_small draws exactly m points: 40.9 used to run at 40 while the CSV row said 40.9
+    pytest.param("pt_small", M_POINTS[2][1], 40.9, id="40.9-pt_small-point2"),
 ])
-@pytest.mark.parametrize("m", [0, -3.0, math.nan, math.inf, "100"])
 def test_a_point_m_that_is_not_positive_and_finite_raises(tester, point, m):
-    # "m": 0 used to run the trials at the formula's m while the CSV row reported 0
+    # "m": 0 used to run the trials at the formula's m while the CSV row reported 0,
+    # and "m": true ran at m=1 while the row printed True
     bad = dict(point, m=m)
     with pytest.raises(ValueError, match="'m'"):
         estimate_acceptance(ExperimentSpec(tester, [bad], 3, 1))

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -259,10 +260,12 @@ def loop_fit_tables(bits, k):
     return dp, choice
 
 
-def loop_fit(bits, k):
+def loop_fit(bits, k, tables=None):
     """Reference for `_fit_alternating`: the loop's best final state, then a
-    backtrack over its choice tensor."""
-    dp, choice = loop_fit_tables(bits, k)
+    backtrack over its choice tensor.  `tables` may hold the loop's tables
+    for more flips than k: a layer of exactly j flips does not depend on k."""
+    dp, choice = loop_fit_tables(bits, k) if tables is None else tables
+    dp, choice = dp[:k + 1], choice[:, :k + 1]
     j, v = np.unravel_index(int(np.argmin(dp)), dp.shape)
     cuts, end = [], len(bits)
     while j > 0:
@@ -314,6 +317,47 @@ def test_alternating_fit_more_flips_than_points(m, k):
         assert (first, cuts.tolist(), error) == loop_fit(bits, k)
         x = "".join(map(str, bits))
         assert dist_to_nblock(x, k + 1) == loop_fit_tables(bits, k)[0].min() / m
+
+
+def test_run_fit_equals_point_fit_on_every_short_string():
+    # the fit runs over maximal runs; the per-point loop may cut anywhere.
+    # Negating every bit swaps the labels and keeps the cuts, so strings start with 0.
+    ks = (0, 1, 2, 3, 5, 20)
+    for m in range(1, 13):
+        for v in range(1 << (m - 1)):
+            bits = (v >> np.arange(m)[::-1]) & 1
+            tables = loop_fit_tables(bits, max(ks))
+            for k in ks:
+                first, cuts, error = _fit_alternating(bits, k)
+                assert (first, cuts.tolist(), error) == loop_fit(bits, k, tables), (bits, k)
+
+
+def test_run_fit_equals_point_fit_on_noisy_block_strings():
+    rng = np.random.default_rng(44)
+    for _ in range(500):
+        m = int(rng.integers(1, 300))
+        blocks = int(rng.integers(1, 12))
+        k = int(rng.integers(0, 2 * blocks))
+        bits = (np.arange(m) * blocks // m) % 2 ^ (rng.random(m) < rng.choice([0.02, 0.1, 0.3]))
+        bits = bits.astype(np.int64)
+        first, cuts, error = _fit_alternating(bits, k)
+        assert (first, cuts.tolist(), error) == loop_fit(bits, k), (bits.tolist(), k)
+
+
+def test_flip_tables_are_sized_by_the_runs_not_the_block_count():
+    # the DP tables used to hold n_blocks layers: 24 MB for "0101" at 10**6 blocks
+    spec = TraceTestSpec(n_chars=4, n_blocks=10**6, epsilon=0.4, rho=0.9, property_name="n_block")
+    for call in (lambda: dist_to_nblock("0101", 10**6),
+                 lambda: _fit_alternating(np.array([0, 1, 0, 1]), 10**6),
+                 lambda: learn_k_alternating(list(enumerate([0, 1, 0, 1])), 10**6),
+                 lambda: nblock_verdict("0101", spec, seed=3)):
+        tracemalloc.start()
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 100_000
+    assert dist_to_nblock("0101", 10**6) == 0.0
+    assert _fit_alternating(np.array([0, 1, 0, 1]), 10**6)[1].tolist() == [1, 2, 3]
 
 
 DESK = dict(n_chars=4096, n_blocks=16, epsilon=0.4)

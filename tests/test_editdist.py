@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from paritylab import _kernels
 from paritylab._kernels import levenshtein
 from paritylab.editdist import (
     BlockString,
@@ -132,6 +133,57 @@ def test_levenshtein_kernel_symmetry_identity_and_length_bounds():
         assert d == levenshtein(_arr(b), _arr(a))
         assert levenshtein(_arr(a), _arr(a)) == 0
         assert abs(len(a) - len(b)) <= d <= max(len(a), len(b))
+
+
+def _runs_of(bits: str):
+    return tuple(x.tolist() for x in _kernels.bit_runs(_arr(bits)))
+
+
+def test_run_edit_distance_matches_brute_force_on_all_short_pairs():
+    # every pair of non-empty binary strings up to length 7; negating both
+    # strings keeps the distance, so the first string starts with 0
+    strings = ["".join(p) for n in range(1, 8) for p in itertools.product("01", repeat=n)]
+    runs = {x: _runs_of(x) for x in strings}
+    for x in strings:
+        if x[0] == "0":
+            for y in strings:
+                assert _kernels._levenshtein_runs(*runs[x], *runs[y]) == brute_edit(x, y), (x, y)
+
+
+def _block_bits(rng, max_runs: int, max_len: int) -> np.ndarray:
+    runs = int(rng.integers(1, max_runs + 1))
+    lengths = rng.multinomial(int(rng.integers(runs, max_len + 1)) - runs, np.full(runs, 1 / runs)) + 1
+    return np.repeat((int(rng.integers(0, 2)) + np.arange(runs)) % 2, lengths).astype(np.uint8)
+
+
+def test_run_edit_distance_matches_bit_parallel_on_long_runs():
+    rng = np.random.default_rng(33)
+    for _ in range(300):
+        a, b = _block_bits(rng, 12, 500), _block_bits(rng, 12, 500)
+        long, short = (a, b) if a.size >= b.size else (b, a)
+        runs = (*_kernels.bit_runs(a), *_kernels.bit_runs(b))
+        assert _kernels._levenshtein_runs(*(x.tolist() for x in runs)) \
+            == _kernels._levenshtein_bits(long, short) == levenshtein(a, b)
+
+
+def test_edit_bounds_at_16384_take_the_run_path_and_match_bit_parallel(monkeypatch):
+    calls = []
+    run_path = _kernels._levenshtein_runs
+    monkeypatch.setattr(_kernels, "_levenshtein_runs", lambda *runs: calls.append(1) or run_path(*runs))
+    rng = np.random.default_rng(34)
+    n = 16384
+    for k1, k2 in ((28, 22), (5, 31)):
+        c1 = rng.multinomial(n, np.full(k1, 1 / k1))
+        c2 = rng.multinomial(n, np.full(k2, 1 / k2))
+        a, b = DensitySequence.from_counts(c1, n), DensitySequence.from_counts(c2, n)
+        lower, upper = dist_edit_bounds(a, b, n)
+        d = _kernels._levenshtein_bits(_arr(psi(a, n).bits), _arr(psi(b, n).bits))
+        assert lower * 2 * n == d and upper == min(d / n, tv_distance(a, b))
+    assert len(calls) == 2
+    # random strings have runs of about two characters: the bit-parallel path
+    x = (rng.random(4096) < 0.5).astype(np.uint8)
+    levenshtein(x, x[::-1].copy())
+    assert len(calls) == 2
 
 
 def test_edit_distances_reject_non_binary_strings():

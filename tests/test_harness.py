@@ -233,6 +233,7 @@ def test_cli_experiment_csv(tmp_path):
     ({"n": 64, "epsilon": 0.3}, "'eta'"),
     ({"n": 64, "eta": 0.5}, "'epsilon'"),
     ({"n": 64, "epsilon": 0.3, "eta": 0.5, "m": 0}, "'m'"),  # not the formula's m
+    ({"n": 64, "epsilon": 0.3, "eta": 0.5, "m": True}, "'m'"),  # not m=1
 ])
 def test_cli_experiment_missing_field_exits_2(tmp_path, point, missing):
     sfile = tmp_path / "spec.json"

@@ -161,6 +161,8 @@ def test_benchmark_smoke(capsys):
     out = capsys.readouterr().out
     assert "kernel" in out and "bucket_labels" in out
     assert "N=16384 k=63" in out  # rows name their shapes
+    # levenshtein: the bit-parallel path on random strings, the run path on psi strings
+    assert "random N=M=4096" in out and "psi N=M=16384 K=28,22" in out
     for tester in ("cc", "pt_large", "pt_small"):  # one estimate_acceptance point each
         assert f"estimate {tester}" in out
     assert "deletion pipeline" in out and "N=65536 blocks=64 rho=0.5" in out
