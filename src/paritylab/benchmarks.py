@@ -7,9 +7,11 @@ row shows one time, beside the shape of the case it ran.  `levenshtein`
 has two exact paths and picks one from the input: its random-string row
 runs the bit-parallel DP, and its psi row (two distributions on 28 and
 22 values at N=16384, the desk_large shape of `dist_edit_bounds`) the DP
-over pairs of runs.  The tester rows run 30 trials of the uniform
-instance at the acceptance suite's shapes; the pipeline row runs
-`deletion_trace` then `poissonize` on a uniform 64-block string.
+over pairs of runs.  `alternating_fit_tables` runs over the runs of a
+noisy 64-block string, as `dist_to_nblock` does on desk_large.  The
+tester rows run 30 trials of the uniform instance at the acceptance
+suite's shapes; the pipeline row runs `deletion_trace` then `poissonize`
+on a uniform 64-block string.
 """
 
 from __future__ import annotations
@@ -61,11 +63,13 @@ def _cases():
             for k in (28, 22))
     yield "levenshtein", f"psi N=M={n} K=28,22", _kernels.levenshtein, (a, b)
 
-    # (20000, 15), and the desk_large shape of dist_to_nblock
-    for size, k in ((20000, 15), (16384, 63)):
-        bits = (rng.random(size) < 0.5).astype(np.int64)
-        yield "alternating_fit_tables", f"N={size} k={k}", _kernels.alternating_fit_tables, \
-            (bits, k)
+    # the call behind dist_to_nblock and the trace testers: a 64-block string with 5% of
+    # its bits flipped, over its runs, the flip count capped at runs - 1
+    bits = parse_bits(uniform_block_string(n, 64)) ^ (rng.random(n) < 0.05)
+    values, lengths = _kernels.bit_runs(bits)
+    k = min(63, values.size - 1)
+    yield "alternating_fit_tables", f"N={n} k={k} runs={values.size}", \
+        _kernels.alternating_fit_tables, (values, k, lengths)
 
     p = rng.random(256)
     p /= p.sum()

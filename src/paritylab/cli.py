@@ -25,7 +25,6 @@ from . import (
     phi_expected,
     sample_exact,
     sample_poissonized,
-    test_n_block,
     test_uniform_n_block,
     test_uniform_n_block_multitrace,
     test_uniformity_cc,
@@ -75,9 +74,7 @@ def _cmd_test(args) -> int:
         lines = [ln for ln in _read_text(args.trace).splitlines() if ln]
         if not lines:
             raise ValueError(f"no trace in {args.trace}")
-        if args.property == "n_block":
-            verdict = test_n_block(lines[0], spec, seed=args.seed)
-        elif len(lines) > 1:
+        if len(lines) > 1:
             verdict = test_uniform_n_block_multitrace(lines, spec, seed=args.seed)
         else:
             verdict = test_uniform_n_block(lines[0], spec, seed=args.seed)

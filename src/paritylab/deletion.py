@@ -3,9 +3,9 @@
 A trace keeps each character of the unknown string independently with
 probability rho.  Upsampling every surviving character to a nonzero
 Poisson count turns one trace into an exact Poissonized parity-trace
-sample of the corresponding distribution, after which the parity-trace
-uniformity machinery applies; a learned alternating relabeling handles
-the block-count property.
+sample of the corresponding distribution.  `test_uniform_n_block` runs
+the check that the spec's property names on it: the parity-trace
+uniformity tester, `dist_to_nblock`, or a learned alternating relabeling.
 """
 
 from __future__ import annotations
@@ -16,15 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
-from .core import (
-    PartialDistribution,
-    PartialDistributionPair,
-    RunLengthTrace,
-    _split_poisson,
-    circular_runs,
-    parse_bits,
-)
-from .editdist import DensitySequence, psi, psi_inv
+from .core import PartialDistribution, PartialDistributionPair, _split_poisson, parse_bits
+from .editdist import DensitySequence, dist_to_nblock, psi, psi_inv
 from .parity import PTTesterConfig, test_uniformity_pt
 from .rng import generator
 from .verdict import Verdict
@@ -232,37 +225,6 @@ def learn_k_alternating(sample, k: int) -> LearnedAlternating:
 
 _REJECT_FRACTION = 0.375
 
-
-def _learn_step(bits: np.ndarray, n_blocks: int, epsilon: float):
-    """(cut indices, statistics, rejected) of the best (n_blocks-1)-alternation
-    fit of `bits`, rejected when its disagreement rate exceeds (3/8) * epsilon."""
-    _, cuts, error = _fit_alternating(bits, n_blocks - 1)
-    stats = {"m": int(bits.size), "disagreement": error / bits.size,
-             "threshold": _REJECT_FRACTION * epsilon}
-    return cuts, stats, stats["disagreement"] > stats["threshold"]
-
-
-def test_n_block(trace: str, spec: TraceTestSpec, seed=0) -> Verdict:
-    """Single-trace tester for "at most n blocks", by learn-then-verify.
-
-    Poissonizes the trace and fits the best (n-1)-alternation labeling of
-    the symbols; rejects when the empirical disagreement rate exceeds
-    (3/8) * epsilon.  The fit is an empirical risk minimizer over a class
-    of bounded capacity, so the in-sample rate is a uniformly convergent
-    estimate; a subsequence of an n-block string is itself n-block, so a
-    true positive always fits with zero error.  Any labeling is consistent
-    with some block-count-n string, so no distribution check follows.  An
-    empty sample accepts vacuously.
-    """
-    params = {"property": "n_block", "n_blocks": spec.n_blocks,
-              "epsilon": spec.epsilon, "rho": spec.rho}
-    if not trace:
-        return Verdict(True, "none", {"m": 0, "warning": "empty sample"}, params)
-    bits = parse_bits(poissonize(trace, spec.rho, seed))
-    _, stats, rejected = _learn_step(bits, spec.n_blocks, spec.epsilon)
-    return Verdict(not rejected, "learn" if rejected else "none", stats, params)
-
-
 _NEGATE = str.maketrans("01", "10")
 
 # the calibrated parity-trace constants for poissonized deletion traces
@@ -270,8 +232,8 @@ _TRACE_CONFIG = PTTesterConfig(beta=0.12)
 
 
 def _promised_uniform_verdict(poi: str, spec: TraceTestSpec, config: PTTesterConfig) -> Verdict:
-    """Run the parity-trace uniformity tester on a poissonized trace and on
-    its negation; accept if either accepts.
+    """Accept if the parity-trace uniformity tester accepts a poissonized
+    trace or its negation.
 
     The trace budget follows the moderate-distance sample-size formula and
     the poissonized symbols already carry Poisson noise, so the run-length
@@ -282,32 +244,41 @@ def _promised_uniform_verdict(poi: str, spec: TraceTestSpec, config: PTTesterCon
     m_eff = spec.n_chars * math.log(1.0 / (1.0 - spec.rho))
     half = spec.n_blocks // 2
     eps = spec.epsilon / 2.0  # string-to-distribution farness loses a factor 2
-    direct = circular_runs(poi)
-    # negating every symbol keeps the runs and swaps their classes
-    negated = RunLengthTrace(direct.zero_runs, direct.one_runs, poi.translate(_NEGATE))
-    v1 = test_uniformity_pt(direct, half, eps, config, m=m_eff)
-    v2 = test_uniformity_pt(negated, half, eps, config, m=m_eff)
-    accept = v1.accept or v2.accept
+    v1 = test_uniformity_pt(poi, half, eps, config, m=m_eff)
+    if config.mode == "small_eps":
+        accept_negated = test_uniformity_pt(poi.translate(_NEGATE), half, eps, config).accept
+    else:
+        # negation swaps the runs of the two symbol classes and the six run-length
+        # checks treat both classes alike, so the negation fails the same checks
+        # (in another order, which only the fired step shows)
+        accept_negated = v1.accept
     stats = {"m": float(len(poi)), "m_eff": m_eff,
-             "accept_direct": v1.accept, "accept_negated": v2.accept}
+             "accept_direct": v1.accept, "accept_negated": accept_negated}
     params = {"property": spec.property_name, "n_blocks": spec.n_blocks,
               "epsilon": spec.epsilon, "rho": spec.rho, "inner_epsilon": eps,
               "beta": config.beta}
-    if accept:
+    if v1.accept or accept_negated:
         return Verdict(True, "none", stats, params)
     return Verdict(False, v1.fired_step, stats, params)
 
 
 def test_uniform_n_block(trace: str, spec: TraceTestSpec,
                          config: PTTesterConfig | None = None, seed=0) -> Verdict:
-    """Single-trace tester for the two uniform n-block strings.
+    """Single-trace tester for the property that `spec.property_name` names.
 
-    Promised mode (input known to be an n-block string) poissonizes and
-    runs the parity-trace uniformity tester on the result and on its
-    bitwise negation.  No-promise mode learns an alternating labeling,
-    checks the disagreement rate, and then requires the per-piece counts
-    to be near-uniform.  Without `config` the calibrated `_TRACE_CONFIG`
-    runs.
+    The trace is poissonized into an exact parity-trace sample first.
+    "uniform_n_block_promised" (input known to be an n-block string) runs
+    the parity-trace uniformity tester on the result and on its bitwise
+    negation; without `config` the calibrated `_TRACE_CONFIG` runs.
+    "n_block" and "uniform_n_block" reject when the best (n-1)-alternation
+    relabeling of the symbols disagrees with more than (3/8) * epsilon of
+    them (epsilon/2 for the uniform property).  "n_block" reads that rate
+    from `dist_to_nblock`: the fit is an empirical risk minimizer over a
+    class of bounded capacity, a subsequence of an n-block string is
+    itself n-block, and any labeling is consistent with some n-block
+    string, so no check follows.  "uniform_n_block" (no promise) then
+    requires the piece sizes of the fit to be near-uniform.  An empty
+    trace accepts vacuously.
     """
     params = {"property": spec.property_name, "n_blocks": spec.n_blocks,
               "epsilon": spec.epsilon, "rho": spec.rho}
@@ -316,13 +287,20 @@ def test_uniform_n_block(trace: str, spec: TraceTestSpec,
     poi = poissonize(trace, spec.rho, seed)
     if spec.property_name == "uniform_n_block_promised":
         return _promised_uniform_verdict(poi, spec, config or _TRACE_CONFIG)
-
-    # no-promise: learn, test disagreement, then verify the piece sizes
-    bits = parse_bits(poi)
-    eps = spec.epsilon / 2.0
-    cuts, stats, rejected = _learn_step(bits, spec.n_blocks, eps)
-    if rejected:
+    if spec.property_name == "n_block":
+        eps = spec.epsilon
+        disagreement = dist_to_nblock(poi, spec.n_blocks)
+    else:
+        eps = spec.epsilon / 2.0
+        bits = parse_bits(poi)
+        _, cuts, error = _fit_alternating(bits, spec.n_blocks - 1)
+        disagreement = error / bits.size
+    stats = {"m": len(poi), "disagreement": disagreement,
+             "threshold": _REJECT_FRACTION * eps}
+    if disagreement > stats["threshold"]:
         return Verdict(False, "learn", stats, params)
+    if spec.property_name == "n_block":
+        return Verdict(True, "none", stats, params)
     # at most n_blocks - 1 cuts, so at most n_blocks non-empty pieces
     hist = np.zeros(spec.n_blocks)
     hist[: cuts.size + 1] = np.diff(cuts, prepend=0, append=bits.size)
@@ -334,6 +312,14 @@ def test_uniform_n_block(trace: str, spec: TraceTestSpec,
     return Verdict(True, "none", stats, params)
 
 
+def test_n_block(trace: str, spec: TraceTestSpec, seed=0) -> Verdict:
+    """Single-trace tester for "at most n blocks": `test_uniform_n_block` on
+    an "n_block" spec; any other spec raises ValueError."""
+    if spec.property_name != "n_block":
+        raise ValueError(f"test_n_block needs an n_block spec, got {spec.property_name!r}")
+    return test_uniform_n_block(trace, spec, seed=seed)
+
+
 def test_uniform_n_block_multitrace(traces: list[str], spec: TraceTestSpec,
                                     config: PTTesterConfig | None = None,
                                     seed=0) -> Verdict:
@@ -342,8 +328,12 @@ def test_uniform_n_block_multitrace(traces: list[str], spec: TraceTestSpec,
     The concatenation of k traces of x is one trace of x repeated k times,
     which is a (k*n)-block string of length k*n_chars; the single-trace
     tester runs there with the distance parameter scaled by the
-    concatenation constant from the spec.
+    concatenation constant from the spec.  An "n_block" spec raises
+    ValueError: a string far from n blocks need not be far from k*n blocks.
     """
+    if spec.property_name == "n_block":
+        raise ValueError("n_block takes one trace; the k-trace tester tests only the "
+                         "uniform properties")
     joined = "".join(traces)
     k = len(traces)
     inner = replace(

@@ -200,8 +200,9 @@ def _fmt(v):
     return v
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959964) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
+    z = 1.959964  # the two-sided 95% normal quantile
     if trials == 0:
         return 0.0, 1.0
     phat = successes / trials
@@ -405,13 +406,13 @@ def _rates(tester: str, base_point: dict, trials: int, seed) -> tuple[float, flo
 
 def calibrate_constants(tester: str, n: int, epsilon: float, *, eta: float | None = None,
                         target_error: float = 0.15, trials: int = 120, seed: int = 0,
-                        c_max: float = 64.0, instance: str | None = None,
+                        instance: str | None = None,
                         beta: float | None = None, extra: dict | None = None) -> dict:
     """Binary-search the leading sample-size constant for a tester.
 
     Doubles c until both the accept rate on the uniform instance and the
     reject rate on the far instance reach 1 - target_error, then shrinks
-    the bracket.  Fails with diagnostics when no c <= c_max suffices.
+    the bracket.  Fails with diagnostics when no c <= 64 suffices.
     The audit trail lists every probed configuration.
     """
     if tester not in ("cc", "pt_large"):
@@ -434,7 +435,7 @@ def calibrate_constants(tester: str, n: int, epsilon: float, *, eta: float | Non
 
     lo, hi = None, None
     c = 0.25 if tester == "pt_large" else 0.002
-    while c <= c_max:
+    while c <= 64.0:
         if ok(c):
             hi = c
             lo = c / 2
@@ -442,7 +443,7 @@ def calibrate_constants(tester: str, n: int, epsilon: float, *, eta: float | Non
         c *= 2
     if hi is None:
         raise RuntimeError(
-            f"calibration failed: no c <= {c_max} reaches both rates; audit={audit}"
+            f"calibration failed: no c <= 64 reaches both rates; audit={audit}"
         )
     for _ in range(4):
         mid = (lo + hi) / 2

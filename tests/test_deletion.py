@@ -30,6 +30,7 @@ from paritylab.deletion import trace_spec_distribution
 from paritylab.editdist import DensitySequence, dist_to_nblock, psi, psi_inv, uniform_density
 from paritylab.harness import domino_instance
 from paritylab.parity import PTTesterConfig
+from paritylab.parity import test_uniformity_pt as pt_verdict
 
 
 def test_channel_validation():
@@ -425,6 +426,52 @@ def test_trace_testers_reject_non_binary_traces(prop):
     tester = nblock_verdict if prop == "n_block" else ublock_verdict
     with pytest.raises(ValueError):
         tester(trace, spec)
+
+
+def test_the_spec_property_picks_the_single_trace_test():
+    spec = TraceTestSpec(rho=0.03, property_name="n_block", **DESK)
+    for t, x in enumerate((uniform_block_string(4096, 16), "10" * 2048)):
+        trace = deletion_trace(x, spec.rho, (24, t))
+        v = ublock_verdict(trace, spec, seed=(25, t))
+        assert v.to_json() == nblock_verdict(trace, spec, seed=(25, t)).to_json()
+        assert v.statistics["threshold"] == 0.375 * spec.epsilon
+
+
+@pytest.mark.parametrize("prop", ["uniform_n_block_promised", "uniform_n_block"])
+def test_nblock_tester_rejects_a_uniform_spec(prop):
+    spec = TraceTestSpec(rho=0.03, property_name=prop, **DESK)
+    with pytest.raises(ValueError, match="n_block"):
+        nblock_verdict("0110", spec)
+
+
+def test_multitrace_rejects_an_nblock_spec():
+    # k copies of an n-block string have at most k*n blocks, but a string far from
+    # n blocks need not be far from k*n blocks
+    spec = TraceTestSpec(rho=0.03, property_name="n_block", **DESK)
+    for traces in (["0110"], ["0110", "1100", "1001"]):
+        with pytest.raises(ValueError, match="uniform"):
+            multi_verdict(traces, spec)
+
+
+def test_run_length_branch_accepts_a_trace_iff_its_negation():
+    # the promised tester runs the six run-length checks once: negation swaps the runs
+    # of the two symbol classes, and the checks treat both classes alike
+    N, n, eps = 4096, 16, 0.4
+    config = PTTesterConfig(beta=0.12, mode="large_eps")
+    rng = np.random.default_rng(60)
+    accepted = 0
+    for t in range(300):
+        rho = rng.uniform(0.02, 0.3)
+        sizes = 1 + rng.multinomial(N - n, rng.dirichlet(np.full(n, rng.uniform(0.5, 50))))
+        x = "".join(str((1 + i) % 2) * int(size) for i, size in enumerate(sizes))
+        poi = poissonize(deletion_trace(x, rho, (60, t)), rho, (61, t))
+        m = N * math.log(1 / (1 - rho))
+        direct = pt_verdict(poi, n // 2, eps / 2, config, m=m)
+        negated = pt_verdict(poi.translate(str.maketrans("01", "10")), n // 2, eps / 2,
+                             config, m=m)
+        assert direct.accept == negated.accept
+        accepted += direct.accept
+    assert 30 <= accepted <= 270  # both outcomes occur
 
 
 def test_multitrace_single_equals_direct():

@@ -2,12 +2,15 @@
 
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from paritylab.cli import build_parser
 from paritylab.collector import CCTesterConfig
 from paritylab.core import sample_poissonized
 from paritylab.editdist import DensitySequence, tv_distance, uniform_density
@@ -293,6 +296,16 @@ def test_cli_trace_empty_file_exits_2(tmp_path, prop):
     assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
 
 
+def test_cli_trace_n_block_with_several_traces_exits_2(tmp_path):
+    # the k-trace tester has no n_block form, and the CLI no longer tests line 1 alone
+    tfile = tmp_path / "t.txt"
+    tfile.write_text("0110\n1100\n1001\n")
+    out = run_cli("test", "trace", "--trace", str(tfile), "--N", "64", "--blocks", "4",
+                  "--eps", "0.3", "--property", "n_block")
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
+
+
 @pytest.mark.parametrize("args,missing", [
     (["--N", "64", "--property", "n_block"], "n_blocks"),
     (["--blocks", "4"], "n_chars"),
@@ -320,3 +333,14 @@ def test_cli_phi_csv():
     out = run_cli("phi", "path", "--n", "3", "--eta", "0.5")
     rows = [list(map(float, line.split(","))) for line in out.stdout.strip().splitlines()]
     assert rows[0] == [1.0, 0.5, 0.25]
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    lines = [ln.split("#")[0] for ln in block.splitlines() if ln.startswith("paritylab ")]
+    assert len(lines) >= 9
+    parser = build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert callable(args.fn), line
