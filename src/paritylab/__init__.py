@@ -31,7 +31,6 @@ from .core import (
     uniform_pair,
 )
 from .deletion import (
-    DeletionChannel,
     TraceTestSpec,
     deletion_trace,
     learn_k_alternating,

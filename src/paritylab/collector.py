@@ -14,12 +14,16 @@ count.
 It is the one bucket-collision engine: `_confused_draw` draws for every cc
 caller, `_row_chunks` sizes every Monte Carlo loop and grid point in cells,
 and `_collision_check` checks cc and, by the necklace reduction, each
-parity-trace symbol class.
+parity-trace symbol class.  `phi_from_keep_probs` is the one builder of an
+expected join matrix: `phi_expected` (constant eta) and `parity.phi_mu`
+(constant keep exp(-m/2n) on the necklace) are it at a constant keep
+vector.  The samplers and oracles run at a constant eta.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +34,6 @@ from .verdict import Verdict
 
 __all__ = [
     "BaseGraph",
-    "BucketPartition",
     "CCTesterConfig",
     "sample_confused",
     "confused_trials",
@@ -66,17 +69,6 @@ class BaseGraph:
 
 
 @dataclass(frozen=True)
-class BucketPartition:
-    """Connected components of a sampled subgraph, as vertex -> bucket ids."""
-
-    labels: np.ndarray
-
-    @property
-    def n_buckets(self) -> int:
-        return int(np.unique(self.labels).size)
-
-
-@dataclass(frozen=True)
 class CCTesterConfig:
     """Free constants of the confused-collector tester.
 
@@ -94,8 +86,9 @@ class CCTesterConfig:
     c: float = 0.016
 
     def __post_init__(self):
-        if not (0 < self.epsilon <= 2 and 0 < self.eta <= 1):
-            raise ValueError("need epsilon in (0,2] and eta in (0,1]")
+        _check_epsilon(self.epsilon)
+        if not 0 < self.eta <= 1:
+            raise ValueError("eta must lie in (0,1]")
 
     def sample_size(self, n: int) -> int:
         """m = c * sqrt(n)/eps^2 * log^2(n)/eta^(3/2)."""
@@ -110,15 +103,18 @@ class CCTesterConfig:
         return self.eta >= self.L * ln**0.8 / (n**0.2 * self.epsilon**0.8)
 
 
-def _keep_probs(graph: BaseGraph, eta=None, weights=None) -> np.ndarray:
-    """Per-edge survival probabilities: 1 - weights when given, else 1 - eta."""
-    if weights is not None:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.size != graph.n_edges or np.any((w < 0) | (w > 1)):
-            raise ValueError("edge weights must lie in [0,1], one per edge")
-        return 1.0 - w
-    if eta is None:
-        raise ValueError("pass eta or weights")
+def _check_epsilon(epsilon) -> None:
+    """Raise ValueError unless the distance parameter is a real number in (0,2].
+
+    Every tester takes its epsilon through this check; the comparison
+    rejects NaN and infinities, and a bool is not a distance.
+    """
+    if isinstance(epsilon, bool) or not (isinstance(epsilon, numbers.Real) and 0 < epsilon <= 2):
+        raise ValueError(f"epsilon must be a finite real number in (0,2], got {epsilon!r}")
+
+
+def _keep_probs(graph: BaseGraph, eta: float) -> np.ndarray:
+    """Per-edge survival probabilities 1 - eta."""
     if not (0 < eta <= 1):
         raise ValueError("eta must lie in (0,1]")
     return np.full(graph.n_edges, 1.0 - eta)
@@ -158,25 +154,25 @@ def _confused_draw(rng, graph: BaseGraph, keep_p: np.ndarray, m: float, masses, 
     return labels, _kernels.bucket_sums(counts, labels)[:, : labels.max() + 1]
 
 
-def sample_confused(p, m: float, graph: BaseGraph, eta: float, seed, weights=None):
+def sample_confused(p, m: float, graph: BaseGraph, eta: float, seed):
     """One draw of the confused-collector process.
 
-    Returns (BucketPartition, X) where X[i] is the number of sample points
-    labeled with bucket i; X[i] ~ Poisson(m * p[bucket i]), buckets from an
-    independent subgraph draw.
+    Returns (labels, X): labels[v] is the bucket of vertex v, numbered
+    0..k-1, and X[i] is the number of sample points labeled with bucket i;
+    X[i] ~ Poisson(m * p[bucket i]), buckets from an independent subgraph
+    draw.
     """
     pw = np.asarray(getattr(p, "weights", p), dtype=np.float64)
-    labels, x = _confused_draw(generator(seed), graph, _keep_probs(graph, eta, weights), m,
+    labels, x = _confused_draw(generator(seed), graph, _keep_probs(graph, eta), m,
                                lambda rows: pw, 1)
-    return BucketPartition(labels[0]), x[0].astype(np.int64)
+    return labels[0], x[0].astype(np.int64)
 
 
-def confused_trials(p, m: float, graph: BaseGraph, eta: float, trials: int, seed,
-                    weights=None):
+def confused_trials(p, m: float, graph: BaseGraph, eta: float, trials: int, seed):
     """Monte Carlo batch of (Y, max bucket count) over fresh (H, sample) draws."""
     pw = np.asarray(getattr(p, "weights", p), dtype=np.float64)
     rng = generator(seed)
-    keep_p = _keep_probs(graph, eta, weights)
+    keep_p = _keep_probs(graph, eta)
     ys, maxx = np.empty(trials), np.empty(trials)
     start = 0
     for rows in _row_chunks(trials, graph.n):
@@ -187,18 +183,9 @@ def confused_trials(p, m: float, graph: BaseGraph, eta: float, trials: int, seed
     return ys, maxx
 
 
-def _join_matrix(n: int, nu: float, cycle: bool) -> np.ndarray:
-    """Join matrix when every edge survives with probability nu."""
-    d = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    if cycle:
-        phi = nu**d + nu ** (n - d) - nu**n
-        np.fill_diagonal(phi, 1.0)
-        return phi
-    return nu**d
-
-
 def _join_sum(n: int, nu: float, cycle: bool) -> float:
-    """Sum of all entries of `_join_matrix(n, nu, cycle)`, in closed form."""
+    """Sum of all entries of the join matrix of n vertices whose edges all
+    survive with probability nu, in closed form."""
     if cycle:
         if nu == 0.0:
             return float(n)
@@ -214,9 +201,7 @@ def phi_expected(graph: BaseGraph, eta: float) -> np.ndarray:
     Path: phi[i,j] = nu^|i-j|.  Cycle: phi[i,j] = nu^|i-j| + nu^(n-|i-j|)
     - nu^n, with nu = 1 - eta.
     """
-    if not (0 < eta <= 1):
-        raise ValueError("eta must lie in (0,1]")
-    return _join_matrix(graph.n, 1.0 - eta, graph.is_cycle)
+    return phi_from_keep_probs(_keep_probs(graph, eta), graph.kind)
 
 
 def phi_from_keep_probs(keep: np.ndarray, kind: str) -> np.ndarray:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
+from .collector import _check_epsilon
 from .core import PartialDistribution, PartialDistributionPair, _split_poisson, parse_bits
 from .editdist import DensitySequence, dist_to_nblock, psi, psi_inv
 from .parity import PTTesterConfig, test_uniformity_pt
@@ -23,7 +24,6 @@ from .rng import generator
 from .verdict import Verdict
 
 __all__ = [
-    "DeletionChannel",
     "TraceTestSpec",
     "LearnedAlternating",
     "deletion_trace",
@@ -35,21 +35,6 @@ __all__ = [
     "test_uniform_n_block_multitrace",
     "uniform_block_string",
 ]
-
-
-@dataclass(frozen=True)
-class DeletionChannel:
-    """Retention rate rho in (0,1]; characters are deleted with rate 1-rho."""
-
-    rho: float
-
-    def __post_init__(self):
-        if not (0 < self.rho <= 1):
-            raise ValueError("rho must lie in (0,1]")
-
-    @property
-    def delta(self) -> float:
-        return 1.0 - self.rho
 
 
 @dataclass(frozen=True)
@@ -65,6 +50,7 @@ class TraceTestSpec:
     concat_eps_scale: float = 1.0
 
     def __post_init__(self):
+        _check_epsilon(self.epsilon)
         if self.property_name not in (
             "n_block",
             "uniform_n_block",

@@ -24,6 +24,7 @@ from .collector import (
     BaseGraph,
     CCTesterConfig,
     _cc_rows,
+    _check_epsilon,
     _confused_draw,
     _keep_probs,
     _row_chunks,
@@ -244,9 +245,10 @@ def _setup(tester: str, point: dict):
     The config is the tester's defaults overridden by the fields the point
     names, and "c" sets its sample-size constant; m is the point's "m", or
     the tester's formula when it has none.  A config field without a
-    default that the point does not name, or an "m" that is not a positive
-    finite number, raises ValueError; so do a bool "m", and for pt_small,
-    whose m is a count of draws, an "m" that is not a whole number.
+    default that the point does not name, an "epsilon" outside (0,2], or an
+    "m" that is not a positive finite number, raises ValueError; so do a
+    bool "m", and for pt_small, whose m is a count of draws, an "m" that is
+    not a whole number.
     """
     cls, c_field, formula, _ = _TESTERS[tester]
     kwargs = {name: point[name] for name in cls.__dataclass_fields__ if name in point}
@@ -256,6 +258,7 @@ def _setup(tester: str, point: dict):
         if field.name not in kwargs and field.default is MISSING:
             raise ValueError(f"grid point {point} has no {field.name!r}")
     cfg = cls(**kwargs)
+    _check_epsilon(point["epsilon"])
     m = point.get("m")
     if m is None:
         return cfg, formula(cfg, point["n"], point["epsilon"])

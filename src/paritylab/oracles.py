@@ -146,7 +146,7 @@ def expected_y(p, phi: np.ndarray, m: float) -> float:
 
 
 def variance_components(p, graph: BaseGraph, m: float, trials: int, seed,
-                        eta: float | None = None, weights=None) -> tuple[float, float]:
+                        eta: float) -> tuple[float, float]:
     """Monte Carlo split of Var[Y] into its subgraph and sampling parts.
 
     For each sampled subgraph the conditional pieces are exact:
@@ -159,7 +159,7 @@ def variance_components(p, graph: BaseGraph, m: float, trials: int, seed,
     pw = np.asarray(getattr(p, "weights", p), dtype=np.float64)
     if pw.shape != (graph.n,):
         raise ValueError("distribution and graph sizes differ")
-    keep_p = _keep_probs(graph, eta, weights)
+    keep_p = _keep_probs(graph, eta)
     rng = generator(seed)
     sq, cube = [], []
     for rows in _row_chunks(trials, graph.n):

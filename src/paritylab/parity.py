@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collector import _collision_check, _join_matrix, _join_sum, _pair_sums
+from .collector import (_check_epsilon, _collision_check, _join_sum, _pair_sums,
+                        phi_from_keep_probs)
 from .core import RunLengthTrace, circular_runs, linear_runs
 from .verdict import Verdict
 
@@ -83,11 +84,11 @@ def phi_mu(n: int, m: float) -> np.ndarray:
     """Expected join matrix of the necklace under the uniform even part.
 
     Every edge survives independently with probability exp(-m/(2n)), so
-    this is the constant-weight cycle matrix at nu = exp(-m/(2n)).
+    this is the join matrix of the n-cycle at that constant keep.
     """
     if m <= 0:
         raise ValueError("m must be positive")
-    return _join_matrix(n, math.exp(-m / (2 * n)), True)
+    return phi_from_keep_probs(np.full(n, math.exp(-m / (2 * n))), "cycle")
 
 
 def phi_mu_sum(n: int, m: float) -> float:
@@ -101,6 +102,7 @@ def _collision_rows(x, domain_size: int, epsilon: float):
     C = sum_i X_i(X_i-1) / (m(m-1)) with m the row sum, and a row rejects
     when C exceeds (1 + eps^2/2) / D.  Rows with m <= 1 give C = nan.
     """
+    _check_epsilon(epsilon)
     x = np.asarray(x, dtype=np.float64)
     m = x.sum(axis=1)
     den = m * (m - 1.0)
@@ -146,8 +148,10 @@ def _pt_large_rows(runs, n: int, epsilon: float, config: PTTesterConfig, m: floa
     run and change no statistic.  Returns (first, stats, threshold_Y,
     threshold_run): first[i] indexes _PT_LARGE_STEPS at the first failing
     check of row i, and stats[j, i] is statistic _PT_LARGE_STATS[j] of row
-    i.  A sample size `m` that is not positive raises ValueError.
+    i.  A sample size `m` that is not positive, or an epsilon outside
+    (0,2], raises ValueError.
     """
+    _check_epsilon(epsilon)
     if not m > 0:
         raise ValueError(f"the large-eps tester needs a positive sample size, got m={m}")
     x = np.asarray(runs, dtype=np.float64)
@@ -178,7 +182,8 @@ def test_uniformity_pt_large(trace, n: int, epsilon: float,
     failing check.
 
     `m` defaults to the trace length; a sample size that is not positive
-    (an empty trace, for instance) raises ValueError.
+    (an empty trace, for instance), or an epsilon outside (0,2], raises
+    ValueError.
     """
     config = config or PTTesterConfig()
     runs = _as_runs(trace)

@@ -183,6 +183,22 @@ def test_a_point_m_that_is_not_positive_and_finite_raises(tester, point, m):
         RUN_TRIAL[tester](bad, 1)
 
 
+@pytest.mark.parametrize("tester,point,epsilon", [
+    pytest.param(tester, point, epsilon, id=f"{epsilon}-{tester}-point{i}")
+    for epsilon in [0, -0.3, math.nan, math.inf, 2.5, True]
+    for i, (tester, point) in enumerate(M_POINTS)
+])
+def test_a_point_epsilon_outside_0_2_raises(tester, point, epsilon):
+    # epsilon 0 used to divide by zero in the pt sample-size formulas, -0.3 to give
+    # pt_large a complex m, and NaN to give pt_small a threshold nothing exceeds;
+    # like "m", a bool is not a number here
+    bad = dict(point, epsilon=epsilon)
+    with pytest.raises(ValueError, match="epsilon"):
+        estimate_acceptance(ExperimentSpec(tester, [bad], 3, 1))
+    with pytest.raises(ValueError, match="epsilon"):
+        RUN_TRIAL[tester](bad, 1)
+
+
 def test_pt_large_point_memory_is_bounded_by_the_chunk(monkeypatch):
     rows = []
 

@@ -19,6 +19,7 @@ from paritylab.collector import (
 )
 from paritylab.collector import test_uniformity_cc as cc_verdict  # noqa: E402
 from paritylab.oracles import expected_y  # noqa: E402
+from paritylab.parity import phi_mu  # noqa: E402
 from paritylab.rng import generator  # noqa: E402
 
 
@@ -129,6 +130,19 @@ def test_zeta_bound_values():
     )
 
 
+def arc_products(keep: np.ndarray, kind: str) -> np.ndarray:
+    """Join matrix by direct products of keep probabilities along the arcs."""
+    n = keep.size + (kind == "path")
+    expect = np.eye(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            near = np.prod(keep[i:j])
+            if kind == "cycle":  # either arc joins; both means every edge
+                near += np.prod(keep[j:]) * np.prod(keep[:i]) - np.prod(keep)
+            expect[i, j] = expect[j, i] = near
+    return expect
+
+
 def test_phi_from_keep_probs_matches_arc_products():
     rng = np.random.default_rng(9)
     for kind in ("path", "cycle"):
@@ -137,20 +151,24 @@ def test_phi_from_keep_probs_matches_arc_products():
             for _ in range(20):
                 keep = rng.random(edges)
                 keep[rng.random(edges) < 0.25] = 0.0
-                expect = np.eye(n)
-                for i in range(n):
-                    for j in range(i + 1, n):
-                        near = np.prod(keep[i:j])
-                        if kind == "cycle":  # either arc joins; both means every edge
-                            near += np.prod(keep[j:]) * np.prod(keep[:i]) - np.prod(keep)
-                        expect[i, j] = expect[j, i] = near
+                expect = arc_products(keep, kind)
                 phi = phi_from_keep_probs(keep, kind)
                 assert np.allclose(phi, expect, rtol=0, atol=1e-12)
                 assert np.array_equal(phi == 0, expect == 0)  # a zero edge joins nothing
+
+
+def test_constant_keep_matrices_match_arc_products():
+    # phi_expected and phi_mu are the one builder at a constant keep
+    for n in (2, 3, 7, 12):
+        for kind in ("path", "cycle"):
+            edges = n if kind == "cycle" else n - 1
             for eta in (0.1, 0.5, 1.0):
-                g = BaseGraph(kind, n)
-                assert np.allclose(phi_from_keep_probs(np.full(edges, 1.0 - eta), kind),
-                                   phi_expected(g, eta), rtol=0, atol=1e-12)
+                assert np.allclose(phi_expected(BaseGraph(kind, n), eta),
+                                   arc_products(np.full(edges, 1.0 - eta), kind),
+                                   rtol=0, atol=1e-12)
+        for m in (0.5, 10.0, 300.0):
+            keep = np.full(n, np.exp(-m / (2 * n)))
+            assert np.allclose(phi_mu(n, m), arc_products(keep, "cycle"), rtol=0, atol=1e-12)
 
 
 def test_sample_confused_extremes():
@@ -160,12 +178,12 @@ def test_sample_confused_extremes():
     rng = generator(0)
     rng.random(g.n_edges)
     drawn = int(rng.poisson(5.0 * p).sum())
-    part, x = sample_confused(p, 5.0, g, eta=1.0, seed=0)
-    assert part.n_buckets == 8  # all singletons
-    assert x.size == part.n_buckets and int(x.sum()) == drawn
-    part, x = sample_confused(p, 5.0, g, eta=1e-12, seed=0)
-    assert part.n_buckets == 1  # everything joins
-    assert x.size == part.n_buckets and int(x.sum()) == drawn
+    labels, x = sample_confused(p, 5.0, g, eta=1.0, seed=0)
+    assert np.unique(labels).size == 8  # all singletons
+    assert x.size == 8 and int(x.sum()) == drawn
+    labels, x = sample_confused(p, 5.0, g, eta=1e-12, seed=0)
+    assert np.unique(labels).size == 1  # everything joins
+    assert x.size == 1 and int(x.sum()) == drawn
 
 
 def test_expected_y_identities():

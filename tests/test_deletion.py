@@ -13,7 +13,6 @@ import pytest
 from paritylab import _kernels
 from paritylab.core import parity_trace, sample_poissonized, split_sample_k
 from paritylab.deletion import (
-    DeletionChannel,
     TraceTestSpec,
     _fit_alternating,
     _zero_truncated_poisson,
@@ -34,9 +33,9 @@ from paritylab.parity import test_uniformity_pt as pt_verdict
 
 
 def test_channel_validation():
-    with pytest.raises(ValueError):
-        DeletionChannel(0.0)
-    assert DeletionChannel(0.7).delta == pytest.approx(0.3)
+    for rho in (0.0, 1.5):
+        with pytest.raises(ValueError, match="rho"):
+            deletion_trace("1100101", rho, 0)
 
 
 def test_deletion_trace_extremes():
@@ -504,6 +503,14 @@ def test_spec_validation():
         TraceTestSpec(n_chars=0, n_blocks=16, epsilon=0.4, rho=0.1)
     TraceTestSpec(n_chars=0, n_blocks=16, epsilon=0.4, rho=0.1,
                   property_name="n_block")  # the block-count tester never reads n_chars
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -0.3, math.nan, math.inf, 2.5])
+def test_spec_rejects_an_epsilon_outside_0_2(epsilon):
+    for prop in ("n_block", "uniform_n_block", "uniform_n_block_promised"):
+        with pytest.raises(ValueError, match="epsilon"):
+            TraceTestSpec(n_chars=4096, n_blocks=16, epsilon=epsilon, rho=0.5,
+                          property_name=prop)
 
 
 def test_uniform_block_inverse_distributions():

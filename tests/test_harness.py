@@ -329,6 +329,21 @@ def test_cli_missing_n_is_usage_error(tmp_path, tester, payload):
     assert "--n" in out.stderr
 
 
+def test_cli_epsilon_outside_0_2_exits_2(tmp_path):
+    # "10" * 2048 is as far from 16 blocks as a string gets; at --eps nan it used to accept
+    tfile = tmp_path / "t.txt"
+    tfile.write_text("10" * 2048)
+    spec = tmp_path / "spec.json"
+    spec.write_text(ExperimentSpec("pt_large", [{"n": 64, "epsilon": 0}], 3, 1).to_json())
+    for args in (["test", "trace", "--trace", str(tfile), "--property", "n_block",
+                  "--eps", "nan", "--N", "4096", "--blocks", "16"],
+                 ["experiment", str(spec)],
+                 ["calibrate", "pt_large", "--n", "64", "--eps", "0"]):
+        out = run_cli(*args)
+        assert out.returncode == 2 and out.stdout == "", args
+        assert "epsilon" in out.stderr and "Traceback" not in out.stderr
+
+
 def test_cli_phi_csv():
     out = run_cli("phi", "path", "--n", "3", "--eta", "0.5")
     rows = [list(map(float, line.split(","))) for line in out.stdout.strip().splitlines()]

@@ -125,6 +125,16 @@ def test_pt_large_rejects_empty_trace_and_nonpositive_m():
         pt_large("1010", 16, 0.3, m=0.0)
 
 
+@pytest.mark.parametrize("epsilon", [0.0, -0.3, math.nan, math.inf, 2.5])
+def test_pt_testers_reject_an_epsilon_outside_0_2(epsilon):
+    # a NaN epsilon used to accept: no statistic exceeds a NaN threshold
+    for tester in (pt_large, pt_small, pt_verdict):
+        with pytest.raises(ValueError, match="epsilon"):
+            tester("10" * 32, 32, epsilon)
+    with pytest.raises(ValueError, match="epsilon"):
+        uht_histogram([20] + [0] * 9, 10, epsilon)
+
+
 def test_pt_small_forwarding_to_histogram():
     n = 4
     trace = "10" * n  # every element exactly once: zero collisions
