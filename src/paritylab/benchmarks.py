@@ -8,8 +8,9 @@ has two exact paths and picks one from the input: its random-string row
 runs the bit-parallel DP, and its psi row (two distributions on 28 and
 22 values at N=16384, the desk_large shape of `dist_edit_bounds`) the DP
 over pairs of runs.  `alternating_fit_tables` runs over the runs of a
-noisy 64-block string, as `dist_to_nblock` does on desk_large.  The
-tester rows run 30 trials of the uniform instance at the acceptance
+noisy 64-block string, as `dist_to_nblock` does on desk_large, and
+`interval_scan` runs at n=512, the desk_large shape, in several row
+blocks.  The tester rows run 30 trials of the uniform instance at the acceptance
 suite's shapes; the pipeline row runs `deletion_trace` then `poissonize`
 on a uniform 64-block string.
 """
@@ -71,11 +72,12 @@ def _cases():
     yield "alternating_fit_tables", f"N={n} k={k} runs={values.size}", \
         _kernels.alternating_fit_tables, (values, k, lengths)
 
-    p = rng.random(256)
+    # the desk_large shape of relative_concentration: several row blocks
+    p = rng.random(512)
     p /= p.sum()
-    q = rng.random(256)
+    q = rng.random(512)
     q /= 2 * q.sum()
-    yield "interval_scan", "n=256", _kernels.interval_scan, (p, q, 1e-3, True)
+    yield "interval_scan", "n=512", _kernels.interval_scan, (p, q, 1e-3, True)
 
     trials = 30
     for tester, point in (("cc", {"n": 256, "epsilon": 0.3, "eta": 0.5}),

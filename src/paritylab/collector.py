@@ -17,7 +17,8 @@ and `_collision_check` checks cc and, by the necklace reduction, each
 parity-trace symbol class.  `phi_from_keep_probs` is the one builder of an
 expected join matrix: `phi_expected` (constant eta) and `parity.phi_mu`
 (constant keep exp(-m/2n) on the necklace) are it at a constant keep
-vector.  The samplers and oracles run at a constant eta.
+vector; `_cycle_join_product` multiplies by the cycle's matrix in O(n)
+without building it.  The samplers and oracles run at a constant eta.
 """
 
 from __future__ import annotations
@@ -111,6 +112,12 @@ def _check_epsilon(epsilon) -> None:
     """
     if isinstance(epsilon, bool) or not (isinstance(epsilon, numbers.Real) and 0 < epsilon <= 2):
         raise ValueError(f"epsilon must be a finite real number in (0,2], got {epsilon!r}")
+
+
+def _check_positive(value: float, name: str) -> None:
+    """Raise ValueError unless `value` is finite and positive; NaN fails the comparison."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def _keep_probs(graph: BaseGraph, eta: float) -> np.ndarray:
@@ -239,6 +246,41 @@ def phi_from_keep_probs(keep: np.ndarray, kind: str) -> np.ndarray:
     phi -= 0.0 if zeros[n] else math.exp(logs[n])
     np.fill_diagonal(phi, 1.0)
     return phi
+
+
+def _cycle_join_product(keep: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """phi_from_keep_probs(keep, "cycle") @ v in O(n), without the matrix.
+
+    (phi v)_i = v_i + F_i + B_i - K * (sum(v) - v_i): F_i and B_i sum v_j
+    (j != i) times the keeps along the forward and the backward arc from i
+    to j, and K, the product of all keeps, is the chance that both arcs
+    survive.  In F_i, the arcs that stay inside 0..n-1 follow the recurrence
+    f_i = k_i (v_{i+1} + f_{i+1}), and an arc through edge n-1, from i to
+    j < i, has the keeps suf[i] * pre[j], a suffix times a prefix product;
+    B_i is the mirror image.  Every product is of keeps in [0, 1], so
+    nothing overflows; the factored form e^{c_i} * sum e^{-c_j} would, once
+    the keeps underflow.
+    """
+    n = keep.size
+    k, x = keep.tolist(), v.tolist()
+    fwd, bwd = [0.0] * n, [0.0] * n
+    f = b = 0.0
+    for i in range(n - 1):
+        j = n - 2 - i
+        f = k[j] * (x[j + 1] + f)
+        fwd[j] = f
+        b = k[i] * (x[i] + b)
+        bwd[i + 1] = b
+    pre = np.ones(n)  # pre[j] = k_0 ... k_{j-1}: the arc from 0 forward to j
+    np.multiply.accumulate(keep[:-1], out=pre[1:])
+    suf = np.multiply.accumulate(keep[::-1])[::-1]  # suf[j] = k_j ... k_{n-1}: j forward to 0
+    # forward from i past vertex 0 to j < i is suf[i] * pre[j]; backward to j > i, pre[i] * suf[j]
+    w = pre * v
+    ahead = np.cumsum(w) - w
+    w = suf * v
+    behind = np.cumsum(w[::-1])[::-1] - w
+    return (v + np.array(fwd) + np.array(bwd) + suf * ahead + pre * behind
+            - suf[0] * (v.sum() - v))
 
 
 def phi_empirical(graph: BaseGraph, eta: float, trials: int, seed) -> np.ndarray:

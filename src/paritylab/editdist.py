@@ -227,5 +227,5 @@ def dist_to_nblock(x, n_blocks: int) -> float:
     values, lengths = _kernels.bit_runs(bits)
     # an optimal labeling never cuts inside a run, so more than (runs - 1) flips never help
     k = min(n_blocks - 1, values.size - 1)
-    dp, _ = _kernels.alternating_fit_tables(values, k, lengths)
+    dp, _ = _kernels.alternating_fit_tables(values, k, lengths, backtrack=False)
     return float(dp.min()) / bits.size

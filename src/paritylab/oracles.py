@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .collector import BaseGraph, _keep_probs, _row_chunks, _subgraph_labels, phi_from_keep_probs
+from .collector import (BaseGraph, _check_positive, _cycle_join_product, _keep_probs, _row_chunks,
+                        _subgraph_labels)
 from .rng import generator
 
 __all__ = [
@@ -66,24 +67,39 @@ def uniform_conjugate(q, m: float, p=None) -> ConjugateReport:
         tau  = (1 - |q|_1) / sum_i tanh(m q_i / 2),
 
     has total mass 1 - |q|_1 and satisfies (phi p~)_i = tau up to 4*n*xi
-    where xi = e^(-m|q|_1) / (1 - e^(-m|q|_1))^2.
+    where xi = e^(-m|q|_1) / (1 - e^(-m|q|_1))^2.  The residual takes phi p~
+    from the O(n) join product, not from the n x n matrix.
     """
-    qw = np.asarray(getattr(q, "weights", q), dtype=np.float64)
+    qw = _weights(q, "q")
+    _check_positive(m, "m")
     q_mass = float(qw.sum())
     if q_mass <= 0:
         raise ValueError("q must carry positive mass")
-    n = qw.size
     tau = (1.0 - q_mass) / float(np.sum(np.tanh(m * qw / 2.0)))
-    sig = 1.0 / (1.0 + np.exp(-m * qw))
+    keep = np.exp(-m * qw)
+    sig = 1.0 / (1.0 + keep)
     p_tilde = tau * (sig + np.roll(sig, 1) - 1.0)
     emq = math.exp(-m * q_mass)
     xi = emq / (1.0 - emq) ** 2
-    phi = phi_from_keep_probs(np.exp(-m * qw), "cycle")
-    residual = float(np.max(np.abs(phi @ p_tilde - tau)))
+    residual = float(np.max(np.abs(_cycle_join_product(keep, p_tilde) - tau)))
     z = None
     if p is not None:
-        z = np.asarray(getattr(p, "weights", p), dtype=np.float64) - p_tilde
+        z = _weights(p, "p", qw.size) - p_tilde
     return ConjugateReport(p_tilde=p_tilde, tau=tau, xi=xi, residual=residual, z=z)
+
+
+def _weights(x, name: str, size: int | None = None) -> np.ndarray:
+    """The weights of `x` as float64, or ValueError unless they are a non-empty
+    vector of finite, non-negative values (of length `size`, if given)."""
+    w = np.asarray(getattr(x, "weights", x), dtype=np.float64)
+    if w.ndim != 1 or w.size == 0:
+        raise ValueError(f"{name} must be a non-empty vector")
+    if size is not None and w.size != size:
+        raise ValueError(f"{name} must have length {size}, got {w.size}")
+    # max and min propagate NaN, so these reductions catch NaN, +-inf and negatives
+    if not (math.isfinite(w.max()) and w.min() >= 0):
+        raise ValueError(f"{name} must be finite and non-negative")
+    return w
 
 
 def simulated_bucket_means(q, values, m: float, trials: int, seed) -> np.ndarray:
@@ -113,10 +129,9 @@ def relative_concentration(p, q, t: float, kind: str = "cycle") -> Concentration
     Also returns a witness interval satisfying q[I*] <= t and
     p[I] >= t * Gamma / 2, found by brute force over the same scan.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    pw = np.asarray(getattr(p, "weights", p), dtype=np.float64)
-    qw = np.asarray(getattr(q, "weights", q), dtype=np.float64)
+    _check_positive(t, "t")
+    pw = _weights(p, "p")
+    qw = _weights(q, "q", pw.size)
     gamma, _, _, wp, wi, wd = _kernels.interval_scan(pw, qw, t, kind == "cycle")
     if wp < t * gamma / 2 - 1e-12:
         raise AssertionError("no interval certifies the concentration bound")

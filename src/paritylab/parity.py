@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collector import (_check_epsilon, _collision_check, _join_sum, _pair_sums,
+from .collector import (_check_epsilon, _check_positive, _collision_check, _join_sum, _pair_sums,
                         phi_from_keep_probs)
 from .core import RunLengthTrace, circular_runs, linear_runs
 from .verdict import Verdict
@@ -86,14 +86,18 @@ def phi_mu(n: int, m: float) -> np.ndarray:
     Every edge survives independently with probability exp(-m/(2n)), so
     this is the join matrix of the n-cycle at that constant keep.
     """
-    if m <= 0:
-        raise ValueError("m must be positive")
-    return phi_from_keep_probs(np.full(n, math.exp(-m / (2 * n))), "cycle")
+    return phi_from_keep_probs(np.full(n, _necklace_keep(n, m)), "cycle")
 
 
 def phi_mu_sum(n: int, m: float) -> float:
     """Sum of all entries of phi_mu, via the geometric row-sum closed form."""
-    return _join_sum(n, math.exp(-m / (2 * n)), True)
+    return _join_sum(n, _necklace_keep(n, m), True)
+
+
+def _necklace_keep(n: int, m: float) -> float:
+    """exp(-m/2n), the keep of every necklace edge."""
+    _check_positive(m, "m")
+    return math.exp(-m / (2 * n))
 
 
 def _collision_rows(x, domain_size: int, epsilon: float):

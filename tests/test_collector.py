@@ -8,6 +8,7 @@ import pytest
 from paritylab.collector import (
     BaseGraph,
     CCTesterConfig,
+    _cycle_join_product,
     _join_sum,
     confused_trials,
     min_eigenvalue,
@@ -169,6 +170,34 @@ def test_constant_keep_matrices_match_arc_products():
         for m in (0.5, 10.0, 300.0):
             keep = np.full(n, np.exp(-m / (2 * n)))
             assert np.allclose(phi_mu(n, m), arc_products(keep, "cycle"), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 600])
+def test_cycle_join_product_matches_the_matrix(n):
+    # keeps exactly 0, exactly 1 and underflowed: exp(-800) is 0.0 and 1e-320 subnormal
+    rng = np.random.default_rng([17, n])
+    for case in ("random", "zeros", "ones", "underflow", "mixed"):
+        keep = rng.random(n)
+        if case == "zeros":
+            keep[rng.random(n) < 0.3] = 0.0
+        elif case == "ones":
+            keep[:] = 1.0
+        elif case == "underflow":
+            keep = np.exp(-rng.uniform(0, 800, n))
+        elif case == "mixed":
+            keep = rng.choice([0.0, 1.0, 1e-320, 0.5, 1 - 1e-16], n)
+        v = rng.standard_normal(n)
+        scale = np.abs(v).sum()
+        got = _cycle_join_product(keep, v)
+        # the dense builder's exponents carry a relative error of about
+        # 1e-16 * |log-product|, which reaches 4.8e-14 * sum|v| at n=600
+        np.testing.assert_allclose(got, phi_from_keep_probs(keep, "cycle") @ v,
+                                   rtol=0, atol=1e-12 * scale, err_msg=case)
+        if n <= 17:
+            np.testing.assert_allclose(got, arc_products(keep, "cycle") @ v,
+                                       rtol=0, atol=1e-14 * scale, err_msg=case)
+        if case == "ones":  # every pair joins
+            np.testing.assert_allclose(got, v.sum(), rtol=0, atol=1e-14 * scale)
 
 
 def test_sample_confused_extremes():

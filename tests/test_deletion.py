@@ -278,6 +278,10 @@ def loop_fit(bits, k, tables=None):
 def assert_fit_tables_match_loop(bits, k):
     dp, choice = _kernels.alternating_fit_tables(bits, k)
     ref_dp, ref_choice = loop_fit_tables(bits, k)
+    # without a backtrack the choice tensor is not filled, and dp is the same
+    lone_dp, none = _kernels.alternating_fit_tables(bits, k, backtrack=False)
+    assert none is None
+    np.testing.assert_array_equal(lone_dp, dp)
     assert dp.shape == (k + 1, 2) and choice.shape == (k + 1, 2, len(bits))
     rows = min(k, len(bits)) + 1
     np.testing.assert_array_equal(dp[:rows], ref_dp[:rows])

@@ -350,6 +350,13 @@ def test_cli_phi_csv():
     assert rows[0] == [1.0, 0.5, 0.25]
 
 
+@pytest.mark.parametrize("m", ["nan", "0", "-1"])
+def test_cli_phi_mu_bad_m_exits_2(m):
+    out = run_cli("phi", "mu", "--n", "3", "--m", m)
+    assert out.returncode == 2 and out.stdout == ""
+    assert "m must be finite and positive" in out.stderr and "Traceback" not in out.stderr
+
+
 def test_readme_cli_examples_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```")[1]

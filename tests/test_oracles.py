@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from paritylab import _kernels
 from paritylab.collector import BaseGraph, phi_expected, phi_from_keep_probs
 from paritylab.oracles import (
     expected_y,
@@ -75,6 +76,110 @@ def test_conjugate_z_decomposition():
     p = np.full(n, 0.5 / n)
     rep = uniform_conjugate(q, 20.0, p=p)
     assert np.allclose(rep.z, 0.0, atol=1e-14)
+
+
+def test_conjugate_residual_matches_the_dense_matrix():
+    # the residual comes from the O(n) join product; the n x n matrix is the reference
+    rng = generator(15)
+    for trial in range(60):
+        n = int(rng.integers(1, 301))
+        q = rng.random(n)
+        q *= rng.uniform(0.05, 0.9) / q.sum()
+        m = float(np.exp(rng.uniform(np.log(0.5), np.log(5e4))))
+        rep = uniform_conjugate(q, m)
+        phi = phi_from_keep_probs(np.exp(-m * q), "cycle")
+        dense = float(np.max(np.abs(phi @ rep.p_tilde - rep.tau)))
+        assert abs(rep.residual - dense) <= 1e-12, (trial, n, m)
+        assert (rep.residual <= 4 * n * rep.xi) == (dense <= 4 * n * rep.xi)
+
+
+BAD_WEIGHTS = {"nan": [0.1, np.nan, 0.2], "inf": [0.1, np.inf, 0.2],
+               "negative": [0.3, -0.1, 0.2], "empty": [], "matrix": [[0.1, 0.2, 0.1]]}
+
+
+@pytest.mark.parametrize("m", [np.nan, np.inf, -1.0, 0.0])
+def test_conjugate_rejects_m_that_is_not_finite_and_positive(m):
+    # m=nan gave an all-NaN conjugate and m=-1 gave tau=-2.0
+    with pytest.raises(ValueError, match="m must be finite and positive"):
+        uniform_conjugate(np.full(4, 0.1), m)
+
+
+@pytest.mark.parametrize("case", list(BAD_WEIGHTS))
+def test_conjugate_rejects_bad_q(case):
+    with pytest.raises(ValueError, match="q must"):
+        uniform_conjugate(np.array(BAD_WEIGHTS[case]), 5.0)
+
+
+@pytest.mark.parametrize("case", [*BAD_WEIGHTS, "length"])
+def test_conjugate_rejects_bad_p(case):
+    p = np.full(4, 0.1) if case == "length" else np.array(BAD_WEIGHTS[case])
+    with pytest.raises(ValueError, match="p must"):
+        uniform_conjugate(np.full(3, 0.1), 5.0, p=p)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -1.0, 0.0])
+def test_relative_concentration_rejects_t_that_is_not_finite_and_positive(t):
+    # t=nan returned gamma=nan and witness_p_mass=-inf
+    with pytest.raises(ValueError, match="t must be finite and positive"):
+        relative_concentration(np.full(4, 0.1), np.full(4, 0.1), t)
+
+
+@pytest.mark.parametrize("side", ["p", "q"])
+@pytest.mark.parametrize("case", list(BAD_WEIGHTS))
+def test_relative_concentration_rejects_bad_weights(side, case):
+    # a NaN in p gave gamma=nan, and a negative p was accepted
+    bad, good = np.array(BAD_WEIGHTS[case]), np.full(3, 0.1)
+    p, q = (bad, good) if side == "p" else (good, bad)
+    with pytest.raises(ValueError, match=f"{side} must"):
+        relative_concentration(p, q, 1e-3)
+
+
+def test_relative_concentration_rejects_unequal_lengths():
+    with pytest.raises(ValueError, match="q must have length 3, got 4"):
+        relative_concentration(np.full(3, 0.1), np.full(4, 0.1), 1e-3)
+
+
+def one_shot_interval_scan(p, q, t, cycle):
+    """Reference for `interval_scan`: the whole (n, n) table at once, gathered
+    through index arrays."""
+    n = len(p)
+    pc = np.concatenate(([0.0], np.cumsum(np.concatenate((p, p)))))
+    qc = np.concatenate(([0.0], np.cumsum(np.concatenate((q, q)))))
+    i = np.arange(n)[:, None]
+    d = np.arange(1, n + 1)[None, :]
+    psum = pc[i + d] - pc[i]
+    qsum = qc[np.maximum(i + d - 1, i)] - qc[i]
+    valid = (i + d - 1) <= (n - 1) if not cycle else np.ones_like(psum, dtype=bool)
+    ratio = np.where(valid, psum / np.maximum(qsum, t), -np.inf)
+    gi, gd = divmod(np.argmax(ratio), n)
+    wcand = np.where(valid & (qsum <= t), psum, -np.inf)
+    wi, wd = divmod(np.argmax(wcand), n)
+    return (float(ratio[gi, gd]), int(gi), int(gd) + 1, float(wcand[wi, wd]), int(wi),
+            int(wd) + 1)
+
+
+@pytest.mark.parametrize("cells", [None, 1, 40])
+@pytest.mark.parametrize("cycle", [True, False])
+def test_blocked_interval_scan_equals_the_one_shot_table(cells, cycle, monkeypatch):
+    # None keeps the shipped block size: one block up to n=128, several at n=200 and 512
+    if cells is not None:
+        monkeypatch.setattr(_kernels, "_SCAN_CELLS", cells)
+    rng = np.random.default_rng([151, cycle, cells or 0])
+    for n in (1, 2, 7, 32, 128, 200, 512):
+        for trial in range(4 if n < 200 else 2):
+            p = rng.random(n)
+            p *= rng.uniform(0.3, 0.7) / p.sum()
+            if trial % 2 == 0:  # zero masses make ties in p[I] and in the ratio
+                p[rng.random(n) < 0.5] = 0.0
+            q = rng.random(n)
+            q *= rng.uniform(0.3, 0.7) / q.sum()
+            if trial == 1:
+                q[rng.random(n) < 0.5] = 0.0
+            t = float(rng.uniform(1e-4, 0.1))
+            got = _kernels.interval_scan(p, q, t, cycle)
+            assert got == one_shot_interval_scan(p, q, t, cycle), (n, trial)
+    zeros = np.zeros(9)  # every interval ties at 0: the first one wins
+    assert _kernels.interval_scan(zeros, zeros, 0.1, cycle) == (0.0, 0, 1, 0.0, 0, 1)
 
 
 def exhaustive_gamma(p, q, t, cycle=True):

@@ -46,6 +46,14 @@ def test_phi_mu_sum_matches_matrix():
             assert phi_mu_sum(n, m) == pytest.approx(phi_mu(n, m).sum(), rel=1e-10)
 
 
+@pytest.mark.parametrize("m", [math.nan, math.inf, 0.0, -1.0])
+def test_phi_mu_rejects_m_that_is_not_finite_and_positive(m):
+    # m=nan gave a matrix of NaN off the diagonal, and phi_mu_sum(3, nan) NaN
+    for fn in (phi_mu, phi_mu_sum):
+        with pytest.raises(ValueError, match="m must be finite and positive"):
+            fn(3, m)
+
+
 def test_uht_trivial_cases():
     v = uht_histogram(np.ones(10, dtype=int), 10, 0.5)
     assert v.accept  # all multiplicities 1: zero collisions

@@ -161,6 +161,7 @@ def test_benchmark_smoke(capsys):
     out = capsys.readouterr().out
     assert "kernel" in out and "bucket_labels" in out
     assert "N=16384 k=63" in out  # rows name their shapes
+    assert "interval_scan" in out and "n=512" in out
     # levenshtein: the bit-parallel path on random strings, the run path on psi strings
     assert "random N=M=4096" in out and "psi N=M=16384 K=28,22" in out
     for tester in ("cc", "pt_large", "pt_small"):  # one estimate_acceptance point each
