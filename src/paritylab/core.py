@@ -149,6 +149,9 @@ def parity_trace(sample: SampleMultiset) -> str:
     return np.repeat(symbols[: counts.size], counts).tobytes().decode("ascii")
 
 
+_NOT_BITS = "a trace may contain only the characters 0 and 1"
+
+
 def parse_bits(trace: str) -> np.ndarray:
     """The characters of `trace` as a uint8 array of 0s and 1s.
 
@@ -159,7 +162,7 @@ def parse_bits(trace: str) -> np.ndarray:
         return np.empty(0, dtype=np.uint8)
     bits = np.frombuffer(trace.encode("ascii"), dtype=np.uint8) - ord("0")
     if bits.max() > 1:  # uint8 wraps, so characters below "0" land here too
-        raise ValueError("a trace may contain only the characters 0 and 1")
+        raise ValueError(_NOT_BITS)
     return bits
 
 

@@ -217,15 +217,15 @@ def dist_to_nblock(x, n_blocks: int) -> float:
 
     Because block lengths are free, an optimal target string realizes the
     best at-most-(n_blocks-1)-alternation relabeling of the characters of
-    x, so the distance is (minimum disagreement count)/|x|.
+    x, so the distance is (minimum disagreement count)/|x|.  A string of
+    at most n_blocks runs is at distance 0 without running the DP.
     """
     if n_blocks < 1:
         raise ValueError("need at least one block")
     bits = _as_bits_array(x)
-    if bits.size == 0:
-        return 0.0
     values, lengths = _kernels.bit_runs(bits)
-    # an optimal labeling never cuts inside a run, so more than (runs - 1) flips never help
-    k = min(n_blocks - 1, values.size - 1)
-    dp, _ = _kernels.alternating_fit_tables(values, k, lengths, backtrack=False)
+    if n_blocks >= values.size:
+        return 0.0
+    # an optimal labeling never cuts inside a run, so k < runs - 1 here
+    dp, _ = _kernels.alternating_fit_tables(values, n_blocks - 1, lengths, backtrack=False)
     return float(dp.min()) / bits.size

@@ -110,7 +110,8 @@ def simulated_bucket_means(q, values, m: float, trials: int, seed) -> np.ndarray
     cross-checks the closed-form conjugate independently of the matrix
     construction.
     """
-    qw = np.asarray(getattr(q, "weights", q), dtype=np.float64)
+    qw = _weights(q, "q")
+    _check_positive(m, "m")
     vals = np.asarray(values, dtype=np.float64)
     n = qw.size
     rng = generator(seed)
@@ -154,7 +155,8 @@ def _interval_edge_mass(qw: np.ndarray, i: int, d: int) -> float:
 
 def expected_y(p, phi: np.ndarray, m: float) -> float:
     """Exact expectation of the collision statistic: m * p' phi p."""
-    pw = np.asarray(getattr(p, "weights", p), dtype=np.float64)
+    pw = _weights(p, "p")
+    _check_positive(m, "m")
     if phi.shape != (pw.size, pw.size):
         raise ValueError("dimension mismatch")
     return float(m * pw @ phi @ pw)
@@ -171,9 +173,10 @@ def variance_components(p, graph: BaseGraph, m: float, trials: int, seed,
     """
     if trials < 1000:
         raise ValueError("need at least 1e3 trials for a stable split")
-    pw = np.asarray(getattr(p, "weights", p), dtype=np.float64)
+    pw = _weights(p, "p")
     if pw.shape != (graph.n,):
         raise ValueError("distribution and graph sizes differ")
+    _check_positive(m, "m")
     keep_p = _keep_probs(graph, eta)
     rng = generator(seed)
     sq, cube = [], []

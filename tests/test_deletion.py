@@ -64,6 +64,19 @@ def test_deletion_trace_length_binomial():
     assert abs(lens.mean() - mean) <= 3 * sigma / math.sqrt(len(lens))
 
 
+@pytest.mark.parametrize("channel,x", [(deletion_trace, "abc2"), (poissonize, "ab2"),
+                                       (deletion_trace, "0/1"), (poissonize, "1 0"),
+                                       # strings of 4096 bytes and more take the numpy check
+                                       (deletion_trace, "01" * 2048 + "/"),
+                                       (poissonize, "2" + "10" * 4096)])
+def test_channel_rejects_non_binary_strings(channel, x):
+    # both used to pass any ASCII through: deletion_trace("abc2", 0.9, 1) gave "abc2"
+    rng, ref = np.random.default_rng(58), np.random.default_rng(58)
+    with pytest.raises(ValueError, match="only the characters 0 and 1"):
+        channel(x, 0.5, rng)
+    assert rng.random() == ref.random()  # it raises before drawing
+
+
 def test_poissonize_empty_and_rho_validation():
     assert poissonize("", 0.5, 0) == ""
     with pytest.raises(ValueError):
@@ -326,14 +339,17 @@ def test_alternating_fit_more_flips_than_points(m, k):
 def test_run_fit_equals_point_fit_on_every_short_string():
     # the fit runs over maximal runs; the per-point loop may cut anywhere.
     # Negating every bit swaps the labels and keeps the cuts, so strings start with 0.
-    ks = (0, 1, 2, 3, 5, 20)
+    # k = runs - 1 is the smallest budget that skips the DP, k = runs the next one
     for m in range(1, 13):
         for v in range(1 << (m - 1)):
             bits = (v >> np.arange(m)[::-1]) & 1
-            tables = loop_fit_tables(bits, max(ks))
-            for k in ks:
+            runs = 1 + int(np.count_nonzero(bits[1:] != bits[:-1]))
+            tables = loop_fit_tables(bits, 20)
+            for k in {0, 1, 2, 3, 5, 20, runs - 1, runs}:
                 first, cuts, error = _fit_alternating(bits, k)
                 assert (first, cuts.tolist(), error) == loop_fit(bits, k, tables), (bits, k)
+                x = "".join(map(str, bits))
+                assert dist_to_nblock(x, k + 1) == tables[0][:k + 1].min() / m, (bits, k)
 
 
 def test_run_fit_equals_point_fit_on_noisy_block_strings():
@@ -362,6 +378,29 @@ def test_flip_tables_are_sized_by_the_runs_not_the_block_count():
         assert peak < 100_000
     assert dist_to_nblock("0101", 10**6) == 0.0
     assert _fit_alternating(np.array([0, 1, 0, 1]), 10**6)[1].tolist() == [1, 2, 3]
+
+
+def test_fits_within_the_run_count_skip_the_dp(monkeypatch):
+    # a trace of an n-block string has at most n runs, so no fit of it runs the DP
+    def no_dp(*args, **kwargs):
+        raise AssertionError("the DP ran")
+
+    monkeypatch.setattr(_kernels, "alternating_fit_tables", no_dp)
+    for blocks, rho in ((4, 0.5), (16, 0.03), (64, 0.3)):
+        x = uniform_block_string(4096, blocks, first=blocks // 4 % 2)
+        poi = poissonize(deletion_trace(x, rho, (59, blocks)), rho, (60, blocks))
+        bits = np.frombuffer(poi.encode(), dtype=np.uint8) - ord("0")
+        starts = 1 + np.flatnonzero(bits[1:] != bits[:-1])  # of every run after the first
+        assert dist_to_nblock(poi, blocks) == 0.0
+        first, cuts, error = _fit_alternating(bits, blocks - 1)
+        assert (first, cuts.tolist(), error) == (bits[0], starts.tolist(), 0)
+        model = learn_k_alternating(list(enumerate(bits.tolist())), blocks - 1)
+        assert model.error == 0 and model.cut_after.tolist() == (starts - 0.5).tolist()
+        for prop in ("n_block", "uniform_n_block"):
+            spec = TraceTestSpec(n_chars=4096, n_blocks=blocks, epsilon=0.4, rho=rho,
+                                 property_name=prop)
+            v = ublock_verdict(deletion_trace(x, rho, (61, blocks)), spec, seed=(62, blocks))
+            assert v.statistics["disagreement"] == 0.0
 
 
 DESK = dict(n_chars=4096, n_blocks=16, epsilon=0.4)

@@ -139,6 +139,40 @@ def test_relative_concentration_rejects_unequal_lengths():
         relative_concentration(np.full(3, 0.1), np.full(4, 0.1), 1e-3)
 
 
+# the moment oracles on one good input of three vertices, with p, q or m swapped out
+MOMENT_ORACLES = {
+    "expected_y": lambda p=np.full(3, 0.1), m=5.0: expected_y(p, np.eye(3), m),
+    "simulated_bucket_means": lambda q=np.full(3, 0.1), m=5.0: simulated_bucket_means(
+        q, np.ones(3), m, trials=10, seed=1),
+    "variance_components": lambda p=np.full(3, 0.1), m=5.0: variance_components(
+        p, BaseGraph("cycle", 3), m, trials=1000, seed=1, eta=0.5),
+}
+WEIGHT_NAME = {"expected_y": "p", "simulated_bucket_means": "q", "variance_components": "p"}
+
+
+def test_moment_oracles_accept_the_good_input():
+    for oracle in MOMENT_ORACLES.values():
+        assert np.isfinite(oracle()).all()
+
+
+@pytest.mark.parametrize("oracle", list(MOMENT_ORACLES))
+@pytest.mark.parametrize("case", list(BAD_WEIGHTS))
+def test_moment_oracles_reject_bad_weights(oracle, case):
+    # a NaN in p made expected_y return nan and variance_components (nan, nan), and a
+    # NaN in q gave simulated_bucket_means finite means, as a NaN keep never survives
+    name = WEIGHT_NAME[oracle]
+    with pytest.raises(ValueError, match=f"{name} must"):
+        MOMENT_ORACLES[oracle](**{name: np.array(BAD_WEIGHTS[case])})
+
+
+@pytest.mark.parametrize("oracle", list(MOMENT_ORACLES))
+@pytest.mark.parametrize("m", [np.nan, np.inf, -3.0, 0.0])
+def test_moment_oracles_reject_m_that_is_not_finite_and_positive(oracle, m):
+    # m=-3 used to pass all three
+    with pytest.raises(ValueError, match="m must be finite and positive"):
+        MOMENT_ORACLES[oracle](m=m)
+
+
 def one_shot_interval_scan(p, q, t, cycle):
     """Reference for `interval_scan`: the whole (n, n) table at once, gathered
     through index arrays."""
