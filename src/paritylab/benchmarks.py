@@ -11,8 +11,11 @@ over pairs of runs.  `alternating_fit_tables` runs over the runs of a
 noisy 64-block string, as `dist_to_nblock` does on desk_large, and
 `interval_scan` runs at n=512, the desk_large shape, in several row
 blocks.  The tester rows run 30 trials of the uniform instance at the acceptance
-suite's shapes; the pipeline row runs `deletion_trace` then `poissonize`
-on a uniform 64-block string.
+suite's shapes.  The two pipeline rows run `deletion_trace` then
+`poissonize`, which take a pure-Python path below `deletion._SHORT_TRACE`
+characters and numpy at or above it: one row on a uniform 64-block string
+of 65536 characters, the other on acceptance criterion 10's five strings
+of 1-16 characters, 200 traces each with its tuple seeds.
 """
 
 from __future__ import annotations
@@ -39,6 +42,16 @@ def _time(fn, *args, repeats: int = 3) -> float:
 
 def _deletion_pipeline(x: str, rho: float, seed: int) -> str:
     return poissonize(deletion_trace(x, rho, seed), rho, seed + 1)
+
+
+# acceptance criterion 10's strings
+_SHORT_STRINGS = ("110010", "1", "000111", "1010101010101010", "0110")
+
+
+def _short_pipelines(rho: float, traces: int) -> None:
+    for si, x in enumerate(_SHORT_STRINGS):
+        for t in range(traces):
+            poissonize(deletion_trace(x, rho, (10010, si, t)), rho, (10011, si, t))
 
 
 def _cases():
@@ -89,6 +102,7 @@ def _cases():
 
     yield "deletion pipeline", "N=65536 blocks=64 rho=0.5", _deletion_pipeline, \
         (uniform_block_string(65536, 64), 0.5, 1234)
+    yield "deletion pipeline", "5 strings N=1-16 x200", _short_pipelines, (0.5, 200)
 
 
 def run(repeats: int = 3) -> None:

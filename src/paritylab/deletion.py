@@ -10,7 +10,9 @@ uniformity tester, `dist_to_nblock`, or a learned alternating relabeling.
 
 from __future__ import annotations
 
+import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,6 +54,8 @@ class TraceTestSpec:
 
     def __post_init__(self):
         _check_epsilon(self.epsilon)
+        if not (0 < self.rho < 1):  # NaN fails the comparison too
+            raise ValueError(f"rho must lie in (0,1), got {self.rho!r}")
         if self.property_name not in (
             "n_block",
             "uniform_n_block",
@@ -77,56 +81,105 @@ def uniform_block_string(n_chars: int, n_blocks: int, first: int = 1) -> str:
     return psi(DensitySequence.from_counts(counts, n_blocks), n_chars).bits
 
 
-def _ascii_bits(x: str) -> np.ndarray:
-    """The ASCII codes of `x`, or ValueError unless every character is 0 or 1.
+# Strings shorter than this take the pure-Python paths of `deletion_trace`
+# and `poissonize`, where about a dozen numpy calls on tiny arrays cost more
+# than a loop over the characters.  With a passed-in generator at rho=0.5
+# (2-vCPU VM, best of 40), both paths of each function cost the same near
+# 44-48 characters: at 48, deletion_trace 4.8 against 4.6 us and poissonize
+# 12.7 against 13.1 us.  poissonize crosses near 40 at rho=0.05 and above 64
+# at rho=0.9, where its output is longer.
+_SHORT_TRACE = 48
 
-    A short string is checked by deleting its 0s and 1s from the bytes, which
-    costs less than the two numpy calls of the long-string check (both take
-    about 1.7 us at 4000 bytes on a 2-vCPU VM).  There, xor maps "0" and "1"
-    to 0 and 1 and every other byte above 1.
+
+def _ascii_codes(x: str) -> bytes:
+    """The ASCII bytes of `x`, or ValueError unless every character is 0 or 1.
+
+    A string under 4096 bytes is checked by deleting its 0s and 1s from the
+    bytes, which costs less than the two numpy calls of the long-string
+    check (both take about 1.7 us at 4000 bytes on a 2-vCPU VM).  There, xor
+    maps "0" and "1" to 0 and 1 and every other byte above 1.
     """
     codes = x.encode("ascii")
-    arr = np.frombuffer(codes, dtype=np.uint8)
-    if codes.translate(None, b"01") if arr.size < 4096 else (arr ^ 48).max() > 1:
+    if (codes.translate(None, b"01") if len(codes) < 4096
+            else (np.frombuffer(codes, dtype=np.uint8) ^ 48).max() > 1):
         raise ValueError(_NOT_BITS)
-    return arr
+    return codes
 
 
 def deletion_trace(x: str, rho: float, seed) -> str:
-    """One pass of x through the deletion channel; x holds only 0s and 1s."""
+    """One pass of x through the deletion channel; x holds only 0s and 1s.
+
+    Character i survives when the i-th uniform of `rng.random(len(x))` is
+    below rho.  Under `_SHORT_TRACE` (48) characters the survivors are
+    picked from the draws' list in Python, otherwise with `np.compress`;
+    both paths take the same draws and return the same string.  On
+    acceptance criterion 10's strings of 1-16 characters the Python path
+    takes about 2 us a call with a passed-in generator, against about 4.5
+    us; building a Philox generator from a seed costs 11-14 us more.
+    """
     if not (0 < rho <= 1):
         raise ValueError("rho must lie in (0,1]")
     if not x:
         return ""
-    arr = _ascii_bits(x)
+    codes = _ascii_codes(x)
     rng = generator(seed)
+    if len(x) < _SHORT_TRACE:
+        return "".join([ch for ch, u in zip(x, rng.random(len(x)).tolist()) if u < rho])
     keep = rng.random(len(x)) < rho
     # compress is several times faster than the boolean index arr[keep] on a random mask
-    return np.compress(keep, arr).tobytes().decode("ascii")
+    return np.compress(keep, np.frombuffer(codes, dtype=np.uint8)).tobytes().decode("ascii")
+
+
+@functools.lru_cache(maxsize=64)
+def _zero_truncated_thresholds(lam: float) -> tuple[float, tuple[float, ...], tuple[int, ...]]:
+    """(c, cum, counts): the inverse-transform table of Poisson(lam) conditioned
+    on being positive.
+
+    Sequential search (Devroye 1986, X.3): a uniform u maps to v = u*c, with
+    c = P[X > 0] = -expm1(-lam), and the count is counts[i] for the first i
+    with v <= cum[i] = P[X in 1..i+1], so counts[i] = i + 1.  The table stops
+    where adding P[X = k] no longer changes the sum (past the mode the terms
+    only shrink, so no later one would); that is 16 thresholds at
+    lam = log 2.  A v above every threshold, which only round-off in the last
+    ulp allows, gets the last count, the cap ceil(max(200, 20*lam)).
+    """
+    cap = math.ceil(max(200, 20 * lam))
+    term = lam * math.exp(-lam)  # P[X = 1]
+    cum = [term]
+    for k in range(2, cap + 1):
+        term *= lam / k
+        if k > lam and cum[-1] + term == cum[-1]:
+            break
+        cum.append(cum[-1] + term)
+    counts = (*range(1, len(cum) + 1), cap)
+    return float(-np.expm1(-lam)), tuple(cum), counts
 
 
 def _zero_truncated_poisson(lam: float, size: int, rng) -> np.ndarray:
-    """Poisson(lam) conditioned on being positive, via inverse transform.
+    """`size` draws of Poisson(lam) conditioned on being positive.
 
-    Sequential search (Devroye 1986, X.3): draw i gets the first k with
-    u_i <= P[X in 1..k].  Each step compares only the draws still above
-    the running sum; as that sum never decreases, a draw that stopped
-    stays stopped.
+    Each step of the search compares only the draws still above the
+    threshold; as the thresholds never decrease, a draw that stopped stays
+    stopped.
     """
-    u = rng.random(size) * -np.expm1(-lam)  # uniform over (0, P[X>0])
+    c, cum, counts = _zero_truncated_thresholds(lam)
+    u = rng.random(size) * c
     out = np.ones(size, dtype=np.int64)
-    k = 1
-    term = lam * math.exp(-lam)  # P[X = 1]
-    cum = term
-    idx = np.flatnonzero(u > cum)
-    # the tail cap only guards against float round-off in the last ulp
-    while idx.size and k < max(200, 20 * lam):
-        k += 1
-        term *= lam / k
-        cum += term
-        out[idx] = k
-        idx = idx[u[idx] > cum]
+    idx = np.flatnonzero(u > cum[0])
+    for i in range(1, len(cum)):
+        if not idx.size:
+            break
+        out[idx] = counts[i]
+        idx = idx[u[idx] > cum[i]]
+    out[idx] = counts[-1]
     return out
+
+
+def _zero_truncated_poisson_list(lam: float, size: int, rng) -> list[int]:
+    """The draws of `_zero_truncated_poisson` as a list, searched in Python:
+    bisection finds the same first threshold at or above v."""
+    c, cum, counts = _zero_truncated_thresholds(lam)
+    return [counts[bisect_left(cum, u * c)] for u in rng.random(size).tolist()]
 
 
 def poissonize(trace: str, rho: float, seed) -> str:
@@ -134,16 +187,25 @@ def poissonize(trace: str, rho: float, seed) -> str:
 
     Applied to a rho-retention trace of x, the output is distributed as
     the parity trace of a Poisson(N*log(1/(1-rho))) sample from the
-    distribution corresponding to x.
+    distribution corresponding to x.  Under `_SHORT_TRACE` (48) characters
+    the counts come from `_zero_truncated_poisson_list` and the copies from
+    `str` repetition, otherwise from `_zero_truncated_poisson` and
+    `np.repeat`; both paths take the same draws and return the same string.
+    On traces of criterion 10's strings the Python path takes about 3.5 us
+    a call with a passed-in generator, against about 9.5 us.
     """
     if not (0 < rho < 1):
         raise ValueError("poissonize needs rho strictly inside (0,1)")
     if not trace:
         return ""
     lam = math.log(1.0 / (1.0 - rho))
-    arr = _ascii_bits(trace)
-    reps = _zero_truncated_poisson(lam, len(trace), generator(seed))
-    return np.repeat(arr, reps).tobytes().decode("ascii")
+    codes = _ascii_codes(trace)
+    rng = generator(seed)
+    if len(trace) < _SHORT_TRACE:
+        counts = _zero_truncated_poisson_list(lam, len(trace), rng)
+        return "".join([ch * k for ch, k in zip(trace, counts)])
+    reps = _zero_truncated_poisson(lam, len(trace), rng)
+    return np.repeat(np.frombuffer(codes, dtype=np.uint8), reps).tobytes().decode("ascii")
 
 
 def split_traces(pi: DensitySequence, n_chars: int, k: int, rho: float,

@@ -102,6 +102,14 @@ def _weights(x, name: str, size: int | None = None) -> np.ndarray:
     return w
 
 
+def _finite(x, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """`x` as a float64 array, or ValueError unless it has `shape` and only finite entries."""
+    a = np.asarray(x, dtype=np.float64)
+    if a.shape != shape or not np.isfinite(a).all():
+        raise ValueError(f"{name} must be a finite array of shape {shape}")
+    return a
+
+
 def simulated_bucket_means(q, values, m: float, trials: int, seed) -> np.ndarray:
     """Monte Carlo estimate of E[values[bucket containing i]] for every i.
 
@@ -112,8 +120,10 @@ def simulated_bucket_means(q, values, m: float, trials: int, seed) -> np.ndarray
     """
     qw = _weights(q, "q")
     _check_positive(m, "m")
-    vals = np.asarray(values, dtype=np.float64)
+    if not trials >= 1:
+        raise ValueError(f"trials must be at least 1, got {trials!r}")
     n = qw.size
+    vals = _finite(values, "values", (n,))
     rng = generator(seed)
     keep_p = np.exp(-m * qw)
     acc = np.zeros(n)
@@ -157,9 +167,7 @@ def expected_y(p, phi: np.ndarray, m: float) -> float:
     """Exact expectation of the collision statistic: m * p' phi p."""
     pw = _weights(p, "p")
     _check_positive(m, "m")
-    if phi.shape != (pw.size, pw.size):
-        raise ValueError("dimension mismatch")
-    return float(m * pw @ phi @ pw)
+    return float(m * pw @ _finite(phi, "phi", (pw.size, pw.size)) @ pw)
 
 
 def variance_components(p, graph: BaseGraph, m: float, trials: int, seed,

@@ -10,12 +10,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from paritylab import _kernels
+from paritylab import _kernels, deletion
 from paritylab.core import parity_trace, sample_poissonized, split_sample_k
 from paritylab.deletion import (
     TraceTestSpec,
     _fit_alternating,
     _zero_truncated_poisson,
+    _zero_truncated_poisson_list,
     deletion_trace,
     learn_k_alternating,
     poissonize,
@@ -117,12 +118,84 @@ def _zero_truncated_poisson_loop(lam, size, rng):
 @pytest.mark.parametrize("lam", [0.046, math.log(2), 3.0, 25.0])
 @pytest.mark.parametrize("size", [0, 1, 8, 32768])
 def test_zero_truncated_poisson_matches_loop(lam, size):
+    # the numpy search and the short path's list search alike
     for seed in range(3):
-        got_rng, want_rng = np.random.default_rng([56, seed]), np.random.default_rng([56, seed])
-        got = _zero_truncated_poisson(lam, size, got_rng)
+        want_rng, got_rng, list_rng = (np.random.default_rng([56, seed]) for _ in range(3))
         want = _zero_truncated_poisson_loop(lam, size, want_rng)
+        got = _zero_truncated_poisson(lam, size, got_rng)
         assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert got_rng.random() == want_rng.random()  # the same draws were taken
+        assert _zero_truncated_poisson_list(lam, size, list_rng) == want.tolist()
+        # the same draws were taken
+        assert got_rng.random() == want_rng.random() == list_rng.random()
+
+
+class _FixedUniforms:
+    """A stand-in generator whose `random(size)` returns given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, size):
+        return self.u[:size].copy()
+
+
+# at lam=1.018056018672891, top * P[X > 0] lies above the last float sum P[X in 1..k]
+@pytest.mark.parametrize("lam", [0.0, 1e-9, math.log(2), 1.018056018672891, 13.8, 36.7])
+def test_both_searches_match_the_loop_at_the_extreme_uniforms(lam):
+    # the largest uniform below 1 can exceed every threshold by round-off: it gets the cap
+    u = [0.0, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0)]
+    want = _zero_truncated_poisson_loop(lam, len(u), _FixedUniforms(u)).tolist()
+    assert _zero_truncated_poisson(lam, len(u), _FixedUniforms(u)).tolist() == want
+    assert _zero_truncated_poisson_list(lam, len(u), _FixedUniforms(u)) == want
+
+
+SEED_KINDS = {
+    "int": lambda i: 1700 + i,
+    "tuple": lambda i: (17, i),
+    "philox": lambda i: np.random.Generator(np.random.Philox(i)),
+    "pcg64": lambda i: np.random.default_rng(i),
+}
+
+
+def _on_both_paths(monkeypatch, call):
+    """call() with every length on the numpy path, then on the Python path."""
+    results = []
+    for constant in (0, 10**9):
+        monkeypatch.setattr(deletion, "_SHORT_TRACE", constant)
+        results.append(call())
+    return results
+
+
+@pytest.mark.parametrize("seed_kind", list(SEED_KINDS))
+@pytest.mark.parametrize("rho", [1e-9, 0.1, 0.5, 0.9, 0.999999])
+def test_short_and_numpy_paths_agree(monkeypatch, seed_kind, rho):
+    # same strings, and a passed-in generator left at the same next draw
+    make = SEED_KINDS[seed_kind]
+    inputs = np.random.default_rng(1701)
+    for n in range(2 * deletion._SHORT_TRACE + 1):
+        x = "".join(inputs.choice(["0", "1"], size=n).tolist())
+
+        def call():
+            s1, s2 = make(2 * n), make(2 * n + 1)
+            out = deletion_trace(x, rho, s1), poissonize(x, rho, s2)
+            if isinstance(s1, np.random.Generator):
+                out += (s1.random(), s2.random())
+            return out
+
+        numpy_side, python_side = _on_both_paths(monkeypatch, call)
+        assert numpy_side == python_side, (seed_kind, rho, n)
+
+
+@pytest.mark.parametrize("channel", [deletion_trace, poissonize])
+@pytest.mark.parametrize("x", ["012", "0\u00e9", "1 0"])
+def test_short_and_numpy_paths_raise_alike(monkeypatch, channel, x):
+    def call():
+        with pytest.raises(ValueError) as info:
+            channel(x, 0.5, 0)
+        return type(info.value), str(info.value)
+
+    numpy_side, python_side = _on_both_paths(monkeypatch, call)
+    assert numpy_side == python_side
 
 
 def run_histogram(traces):
@@ -546,6 +619,13 @@ def test_spec_validation():
         TraceTestSpec(n_chars=0, n_blocks=16, epsilon=0.4, rho=0.1)
     TraceTestSpec(n_chars=0, n_blocks=16, epsilon=0.4, rho=0.1,
                   property_name="n_block")  # the block-count tester never reads n_chars
+    # each rho used to construct a spec: test_uniform_n_block("", spec) then accepted an
+    # "empty sample", and a non-empty trace failed only inside poissonize
+    for rho in (1.5, 1.0, 0.0, -0.2, math.nan):
+        for prop in ("n_block", "uniform_n_block", "uniform_n_block_promised"):
+            with pytest.raises(ValueError, match="rho must lie in"):
+                TraceTestSpec(n_chars=4096, n_blocks=16, epsilon=0.4, rho=rho,
+                              property_name=prop)
 
 
 @pytest.mark.parametrize("epsilon", [0.0, -0.3, math.nan, math.inf, 2.5])

@@ -173,6 +173,41 @@ def test_moment_oracles_reject_m_that_is_not_finite_and_positive(oracle, m):
         MOMENT_ORACLES[oracle](m=m)
 
 
+BAD_PHI = {"nan": [[0.1, 0.0, 0.0], [0.0, np.nan, 0.0], [0.0, 0.0, 0.1]],
+           "inf": [[np.inf, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+           "shape": np.eye(2), "vector": np.ones(3), "nested list 2x3": [[1.0, 0.0, 0.0]] * 2}
+
+
+@pytest.mark.parametrize("case", list(BAD_PHI))
+def test_expected_y_rejects_bad_phi(case):
+    # a NaN phi returned nan and an inf phi inf
+    with pytest.raises(ValueError, match=r"phi must be a finite array of shape \(3, 3\)"):
+        expected_y(np.full(3, 0.1), np.array(BAD_PHI[case]), 5.0)
+
+
+def test_expected_y_reads_a_nested_list_as_phi():
+    # a nested list used to raise AttributeError on phi.shape
+    p = np.full(3, 0.1)
+    assert expected_y(p, np.eye(3).tolist(), 5.0) == expected_y(p, np.eye(3), 5.0)
+
+
+BAD_BUCKET_MEAN_ARGS = {"trials 0": {"trials": 0}, "trials -3": {"trials": -3},
+                        "trials nan": {"trials": np.nan},
+                        "values nan": {"values": [1.0, np.nan, 1.0]},
+                        "values inf": {"values": [1.0, 1.0, -np.inf]},
+                        "values length": {"values": np.ones(4)},
+                        "values matrix": {"values": np.ones((1, 3))}}
+
+
+@pytest.mark.parametrize("case", list(BAD_BUCKET_MEAN_ARGS))
+def test_simulated_bucket_means_rejects_bad_trials_and_values(case):
+    # trials=0 returned all NaN, trials=-3 all -0.0, and a NaN value all NaN
+    args = {"q": np.full(3, 0.1), "values": np.ones(3), "m": 5.0, "trials": 10, "seed": 1}
+    args.update(BAD_BUCKET_MEAN_ARGS[case])
+    with pytest.raises(ValueError, match=case.split()[0] + " must"):
+        simulated_bucket_means(**args)
+
+
 def one_shot_interval_scan(p, q, t, cycle):
     """Reference for `interval_scan`: the whole (n, n) table at once, gathered
     through index arrays."""

@@ -167,3 +167,4 @@ def test_benchmark_smoke(capsys):
     for tester in ("cc", "pt_large", "pt_small"):  # one estimate_acceptance point each
         assert f"estimate {tester}" in out
     assert "deletion pipeline" in out and "N=65536 blocks=64 rho=0.5" in out
+    assert "5 strings N=1-16 x200" in out  # the short path, on criterion 10's strings
