@@ -11,9 +11,10 @@ cost rule on the lengths and run counts.  `bit_runs` is the one run
 extractor.  `interval_scan` reads its (n, n) table of interval masses as
 sliding windows of prefix sums, in row blocks that stay in L2: at n=512 it
 takes 1.3 ms against 6.3-6.9 ms for the one-shot table with index gathers
-(the join-matrix product behind the conjugate residual is
-`collector._cycle_join_product`, O(n)).  All randomness is drawn by the
-callers, outside the kernels.  ``paritylab.benchmarks`` times every kernel.
+(the join matrix and its O(n) product behind the conjugate residual live
+in `collector`, as direct products of keeps).  All randomness is drawn by
+the callers, outside the kernels.  ``paritylab.benchmarks`` times every
+kernel.
 """
 
 from __future__ import annotations

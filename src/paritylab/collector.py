@@ -18,7 +18,9 @@ parity-trace symbol class.  `phi_from_keep_probs` is the one builder of an
 expected join matrix: `phi_expected` (constant eta) and `parity.phi_mu`
 (constant keep exp(-m/2n) on the necklace) are it at a constant keep
 vector; `_cycle_join_product` multiplies by the cycle's matrix in O(n)
-without building it.  The samplers and oracles run at a constant eta.
+without building it.  Both multiply keeps directly, with no logs, so keeps
+that are 0, 1 or subnormal stay exact; `_arc_ends` forms the arcs through
+vertex 0 for both.  The samplers and oracles run at a constant eta.
 """
 
 from __future__ import annotations
@@ -88,8 +90,7 @@ class CCTesterConfig:
 
     def __post_init__(self):
         _check_epsilon(self.epsilon)
-        if not 0 < self.eta <= 1:
-            raise ValueError("eta must lie in (0,1]")
+        _check_eta(self.eta)
 
     def sample_size(self, n: int) -> int:
         """m = c * sqrt(n)/eps^2 * log^2(n)/eta^(3/2)."""
@@ -120,10 +121,15 @@ def _check_positive(value: float, name: str) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
-def _keep_probs(graph: BaseGraph, eta: float) -> np.ndarray:
-    """Per-edge survival probabilities 1 - eta."""
+def _check_eta(eta: float) -> None:
+    """Raise ValueError unless the edge weight lies in (0,1]; NaN fails the comparison."""
     if not (0 < eta <= 1):
         raise ValueError("eta must lie in (0,1]")
+
+
+def _keep_probs(graph: BaseGraph, eta: float) -> np.ndarray:
+    """Per-edge survival probabilities 1 - eta."""
+    _check_eta(eta)
     return np.full(graph.n_edges, 1.0 - eta)
 
 
@@ -211,39 +217,40 @@ def phi_expected(graph: BaseGraph, eta: float) -> np.ndarray:
     return phi_from_keep_probs(_keep_probs(graph, eta), graph.kind)
 
 
+def _arc_ends(keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(pre, suf) of the cycle's keeps, the arcs through vertex 0: pre[j] = k_0 ... k_{j-1}
+    runs from 0 forward to j, and suf[j] = k_j ... k_{n-1} from j forward to 0."""
+    pre = np.ones(keep.size)
+    np.multiply.accumulate(keep[:-1], out=pre[1:])
+    return pre, np.multiply.accumulate(keep[::-1])[::-1]
+
+
 def phi_from_keep_probs(keep: np.ndarray, kind: str) -> np.ndarray:
     """Expected join matrix for arbitrary per-edge keep probabilities in [0,1].
 
     Entry (i,j) is the probability that i and j land in one bucket: the
-    product of keep probabilities along the edges between them; on the
-    cycle, inclusion-exclusion over the two arcs.  Products are sums of
-    logs: with c the prefix sums of log(keep) at the vertices, the arc
-    between i < j has log-product c[j] - c[i] and, on the cycle, the other
-    arc c[n] - c[j] + c[i]; an arc holding a zero-probability edge joins
-    nothing.
+    product of the keeps along the edges between them, for i < j one
+    running product along row i.  On the cycle the arc from j forward past
+    vertex 0 to i, with the keeps suf[j] * pre[i], joins them too; the
+    inclusion-exclusion near + far * (1 - near) stays in [0, 1] under
+    rounding, where near + far - near * far can step past 1 by an ulp.
     """
     if kind not in ("path", "cycle"):
         raise ValueError("kind must be 'path' or 'cycle'")
     keep = np.asarray(keep, dtype=np.float64)
-    logs = np.concatenate(([0.0], np.cumsum(np.log(np.maximum(keep, 1e-300)))))
-    zeros = np.concatenate(([0], np.cumsum(keep == 0, dtype=np.int32)))
-    n = keep.size + 1 if kind == "path" else keep.size
-    c, z = logs[:n], zeros[:n]
-    # logs never increase along the path, so -|c[i] - c[j]| is the arc i..j
-    phi = np.abs(np.subtract.outer(c, c))
-    np.negative(phi, out=phi)
-    np.exp(phi, out=phi)
-    phi[np.not_equal.outer(z, z)] = 0.0
-    if kind == "path":
-        return phi
-    # far[i, j] = c[i] + (c[n] - c[j]) is the other arc when i < j, and the
-    # larger of far[i, j] and far[j, i]; the maximum puts it on both sides
-    far = np.add.outer(c, logs[n] - c)
-    far = np.maximum(far, far.T)
-    np.exp(far, out=far)
-    far[np.abs(np.subtract.outer(z, z)) != zeros[n]] = 0.0
-    phi += far
-    phi -= 0.0 if zeros[n] else math.exp(logs[n])
+    # the comparisons reject NaN and infinities
+    if keep.ndim != 1 or keep.size == 0 or not np.all((keep >= 0) & (keep <= 1)):
+        raise ValueError("keep probabilities must be a non-empty vector of numbers in [0,1]")
+    cycle = kind == "cycle"
+    n = keep.size + (not cycle)
+    pre, suf = _arc_ends(keep)
+    phi = np.zeros((n, n))
+    for i in range(n - 1):
+        row = phi[i, i + 1:]
+        np.multiply.accumulate(keep[i : n - 1], out=row)
+        if cycle:
+            row += pre[i] * suf[i + 1:] * (1.0 - row)
+    phi += phi.T
     np.fill_diagonal(phi, 1.0)
     return phi
 
@@ -256,10 +263,9 @@ def _cycle_join_product(keep: np.ndarray, v: np.ndarray) -> np.ndarray:
     to j, and K, the product of all keeps, is the chance that both arcs
     survive.  In F_i, the arcs that stay inside 0..n-1 follow the recurrence
     f_i = k_i (v_{i+1} + f_{i+1}), and an arc through edge n-1, from i to
-    j < i, has the keeps suf[i] * pre[j], a suffix times a prefix product;
-    B_i is the mirror image.  Every product is of keeps in [0, 1], so
-    nothing overflows; the factored form e^{c_i} * sum e^{-c_j} would, once
-    the keeps underflow.
+    j < i, has the keeps suf[i] * pre[j] (`_arc_ends`); B_i is the mirror
+    image.  Every product is of keeps in [0, 1], so nothing overflows; the
+    factored form e^{c_i} * sum e^{-c_j} would, once the keeps underflow.
     """
     n = keep.size
     k, x = keep.tolist(), v.tolist()
@@ -271,9 +277,7 @@ def _cycle_join_product(keep: np.ndarray, v: np.ndarray) -> np.ndarray:
         fwd[j] = f
         b = k[i] * (x[i] + b)
         bwd[i + 1] = b
-    pre = np.ones(n)  # pre[j] = k_0 ... k_{j-1}: the arc from 0 forward to j
-    np.multiply.accumulate(keep[:-1], out=pre[1:])
-    suf = np.multiply.accumulate(keep[::-1])[::-1]  # suf[j] = k_j ... k_{n-1}: j forward to 0
+    pre, suf = _arc_ends(keep)
     # forward from i past vertex 0 to j < i is suf[i] * pre[j]; backward to j > i, pre[i] * suf[j]
     w = pre * v
     ahead = np.cumsum(w) - w
@@ -314,13 +318,16 @@ def zeta_bound(graph: BaseGraph, *, eta: float | None = None,
     0 on the path; (1-eta)^(n/2) on the constant-weight cycle; and
     exp(-m*q_mass/2) on the cycle with parity-trace edge weights.
     """
-    if not graph.is_cycle:
-        return 0.0
     if eta is not None:
-        return float((1.0 - eta) ** (graph.n / 2))
-    if m is None or q_mass is None:
+        _check_eta(eta)
+        bound = (1.0 - eta) ** (graph.n / 2)
+    elif m is None or q_mass is None:
         raise ValueError("pass eta, or both m and q_mass")
-    return float(math.exp(-m * q_mass / 2))
+    else:
+        _check_positive(m, "m")
+        _check_positive(q_mass, "q_mass")
+        bound = math.exp(-m * q_mass / 2)
+    return float(bound) if graph.is_cycle else 0.0
 
 
 def _pair_sums(x: np.ndarray) -> np.ndarray:

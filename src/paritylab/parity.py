@@ -14,6 +14,7 @@ d = 2n and nu = exp(-m/2n), checked by `collector._collision_check`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +97,8 @@ def phi_mu_sum(n: int, m: float) -> float:
 
 def _necklace_keep(n: int, m: float) -> float:
     """exp(-m/2n), the keep of every necklace edge."""
+    if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and n >= 1):
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     _check_positive(m, "m")
     return math.exp(-m / (2 * n))
 

@@ -131,6 +131,20 @@ def test_zeta_bound_values():
     )
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"eta": 1.5},  # raised TypeError: the power was complex
+    {"eta": float("nan")},  # returned nan
+    {"eta": 0.0},
+    {"m": -5.0, "q_mass": 0.5},  # returned 3.49
+    {"m": 16.0, "q_mass": float("nan")},
+    {"m": 16.0, "q_mass": 0.0},
+])
+def test_zeta_bound_rejects_bad_inputs(kwargs):
+    for kind in ("path", "cycle"):
+        with pytest.raises(ValueError):
+            zeta_bound(BaseGraph(kind, 3), **kwargs)
+
+
 def arc_products(keep: np.ndarray, kind: str) -> np.ndarray:
     """Join matrix by direct products of keep probabilities along the arcs."""
     n = keep.size + (kind == "path")
@@ -145,17 +159,41 @@ def arc_products(keep: np.ndarray, kind: str) -> np.ndarray:
 
 
 def test_phi_from_keep_probs_matches_arc_products():
+    # keeps exactly 0 and 1, subnormal (1e-320) and underflowed (exp(-800) is 0.0);
+    # the log-sum builder was 5.5e-12 off at n=300 with 30% zero keeps
     rng = np.random.default_rng(9)
+    cases = []
     for kind in ("path", "cycle"):
         for n in (2, 3, 7, 12):
             edges = n if kind == "cycle" else n - 1
-            for _ in range(20):
+            for trial in range(20):
                 keep = rng.random(edges)
+                if trial % 2:
+                    keep = rng.choice([1.0, 1e-320, np.exp(-800), 0.5, keep[0]], edges)
                 keep[rng.random(edges) < 0.25] = 0.0
-                expect = arc_products(keep, kind)
-                phi = phi_from_keep_probs(keep, kind)
-                assert np.allclose(phi, expect, rtol=0, atol=1e-12)
-                assert np.array_equal(phi == 0, expect == 0)  # a zero edge joins nothing
+                cases.append((keep, kind))
+    keep = rng.random(300)
+    keep[rng.random(300) < 0.3] = 0.0
+    cases += [(keep, "path"), (keep, "cycle")]
+    for keep, kind in cases:
+        expect = arc_products(keep, kind)
+        phi = phi_from_keep_probs(keep, kind)
+        np.testing.assert_allclose(phi, expect, rtol=0, atol=1e-14, err_msg=f"{kind} {keep}")
+        assert np.array_equal(phi == 0, expect == 0)  # a zero edge joins nothing
+
+
+@pytest.mark.parametrize("keep, kind", [
+    ([0.5, 2.0], "path"),  # gave phi[0, 2] = 1.0 beside phi[0, 1] = 0.5
+    ([0.5, np.nan, 0.5], "cycle"),
+    ([0.5, np.inf], "path"),
+    ([-0.5, 0.5, 0.5], "cycle"),
+    ([[0.5, 0.5], [0.5, 0.5]], "cycle"),  # was flattened
+    ([], "cycle"),  # gave a (0, 0) matrix
+    ([], "path"),
+])
+def test_phi_from_keep_probs_rejects_bad_keeps(keep, kind):
+    with pytest.raises(ValueError, match="keep probabilities"):
+        phi_from_keep_probs(keep, kind)
 
 
 def test_constant_keep_matrices_match_arc_products():
@@ -189,10 +227,8 @@ def test_cycle_join_product_matches_the_matrix(n):
         v = rng.standard_normal(n)
         scale = np.abs(v).sum()
         got = _cycle_join_product(keep, v)
-        # the dense builder's exponents carry a relative error of about
-        # 1e-16 * |log-product|, which reaches 4.8e-14 * sum|v| at n=600
         np.testing.assert_allclose(got, phi_from_keep_probs(keep, "cycle") @ v,
-                                   rtol=0, atol=1e-12 * scale, err_msg=case)
+                                   rtol=0, atol=1e-14 * scale, err_msg=case)
         if n <= 17:
             np.testing.assert_allclose(got, arc_products(keep, "cycle") @ v,
                                        rtol=0, atol=1e-14 * scale, err_msg=case)

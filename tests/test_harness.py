@@ -357,6 +357,13 @@ def test_cli_phi_mu_bad_m_exits_2(m):
     assert "m must be finite and positive" in out.stderr and "Traceback" not in out.stderr
 
 
+def test_cli_phi_mu_n_0_exits_2():
+    # exited 1 with a ZeroDivisionError traceback
+    out = run_cli("phi", "mu", "--n", "0", "--m", "4")
+    assert out.returncode == 2 and out.stdout == ""
+    assert "n must be an integer" in out.stderr and "Traceback" not in out.stderr
+
+
 def test_readme_cli_examples_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```")[1]

@@ -54,6 +54,14 @@ def test_phi_mu_rejects_m_that_is_not_finite_and_positive(m):
             fn(3, m)
 
 
+@pytest.mark.parametrize("n", [0, -2, 2.5, True])
+def test_phi_mu_rejects_n_that_is_not_a_positive_integer(n):
+    # n=0 raised ZeroDivisionError and n=2.5 TypeError
+    for fn in (phi_mu, phi_mu_sum):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            fn(n, 4.0)
+
+
 def test_uht_trivial_cases():
     v = uht_histogram(np.ones(10, dtype=int), 10, 0.5)
     assert v.accept  # all multiplicities 1: zero collisions

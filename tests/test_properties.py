@@ -1,14 +1,14 @@
-"""Hypothesis properties for the string machinery and input validation."""
+"""Hypothesis properties for the string machinery, the join matrix and input validation."""
 
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from paritylab.collector import BaseGraph, CCTesterConfig
+from paritylab.collector import BaseGraph, CCTesterConfig, _cycle_join_product, phi_from_keep_probs
 from paritylab.collector import test_uniformity_cc as cc_verdict
 from paritylab.core import PartialDistribution, circular_runs
 from paritylab.deletion import TraceTestSpec, learn_k_alternating
@@ -87,6 +87,27 @@ def test_non_finite_or_negative_vectors_rejected(case):
     counts[: x.size] = x
     with pytest.raises(ValueError):
         cc_verdict(counts, cfg, n, cfg.sample_size(n), BaseGraph("cycle", n))
+
+
+keep_vectors = st.lists(st.one_of(st.sampled_from([0.0, 1.0, 1e-320]), st.floats(0.0, 1.0)),
+                        min_size=1, max_size=40)
+
+
+@given(keep_vectors, st.sampled_from(["path", "cycle"]), st.integers(0, 2**32 - 1))
+# near + far - near * far gives phi[4, 5] = 1 + 2^-52 here
+@example([0.6706382816480523, 0.9999999999991493, 0.9999999999991952, 0.9999999999997486,
+          1.0, 0.9999999999992083], "cycle", 0)
+@settings(max_examples=300, deadline=None)
+def test_join_matrix_is_a_symmetric_matrix_of_probabilities(keeps, kind, seed):
+    keep = np.array(keeps)
+    phi = phi_from_keep_probs(keep, kind)
+    assert phi.shape == (keep.size + (kind == "path"),) * 2
+    assert np.array_equal(phi, phi.T) and np.all(np.diag(phi) == 1.0)
+    assert np.all((phi >= 0) & (phi <= 1))
+    if kind == "cycle":
+        v = np.random.default_rng(seed).standard_normal(keep.size)
+        np.testing.assert_allclose(_cycle_join_product(keep, v), phi @ v,
+                                   rtol=0, atol=1e-14 * np.abs(v).sum())
 
 
 @given(bitstrings.filter(len), st.integers(0, 63))
