@@ -196,9 +196,20 @@ def runs_from_counts(counts: np.ndarray) -> RunLengthTrace:
     Equivalent to ``circular_runs(parity_trace(SampleMultiset(counts)))`` but
     O(domain) regardless of the sample size: the record keeps `counts` as its
     source and builds the trace string only if `bits` is read.  The runs are
-    the nonzero entries of `necklace_sums` on the one row `counts`.
+    the nonzero entries of `necklace_sums` on the one row `counts`.  Counts
+    that are not a 1-d vector of even length, or whose entries are not
+    finite, non-negative whole numbers, raise ValueError.
     """
-    counts = np.asarray(counts, dtype=np.int64)
+    counts = np.asarray(counts)
+    if counts.ndim != 1 or counts.size % 2:
+        raise ValueError(f"counts must be a 1-d vector of even length 2n, got shape {counts.shape}")
+    kind = counts.dtype.kind
+    if kind not in "biuf" or (kind == "f" and not np.all(np.isfinite(counts)
+                                                         & (np.trunc(counts) == counts))):
+        raise ValueError("counts must be finite whole numbers")
+    counts = counts.astype(np.int64, copy=False)
+    if counts.size and counts.min() < 0:
+        raise ValueError("counts must be non-negative")
     ones, zeros = necklace_sums(counts[None, :])[:, 0]
     return RunLengthTrace(one_runs=ones[ones > 0].astype(np.int64),
                           zero_runs=zeros[zeros > 0].astype(np.int64),
@@ -214,13 +225,16 @@ def necklace_sums(counts: np.ndarray) -> np.ndarray:
     counts where edge i survives when the next odd slot is empty.  Returns
     a float64 array of shape (2, rows, n): the one-run sums, then the
     zero-run sums; a zero entry is a bucket with no sample point, or no
-    bucket, and no run.
+    bucket, and no run.  When no slot is empty no edge survives, and the
+    runs are the odd and the even counts themselves, with no labels.
     """
     rows, n = counts.shape[0], counts.shape[1] // 2
     odd = counts[:, 0::2]  # odd elements -> 1 symbols
     even = counts[:, 1::2]  # even elements -> 0 symbols
     values = np.concatenate((odd, even), dtype=np.float64)
-    keep = np.concatenate((even == 0, np.roll(odd, -1, axis=1) == 0))
+    if counts.all():
+        return values.reshape(2, rows, n)
+    keep = np.concatenate((even == 0, np.roll(odd == 0, -1, axis=1)))
     labels = _kernels.bucket_labels(keep, n, True)
     return _kernels.bucket_sums(values, labels).reshape(2, rows, n)
 

@@ -217,13 +217,14 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 # instances, setups, draws and single trials for each registered tester
 # ---------------------------------------------------------------------------
 
-def _masses(point: dict, seed, rows: int, bias: float) -> np.ndarray:
-    """Distributions over Z_n of `rows` trials, shape (rows, n): uniform or a far
-    instance, a paired one with pair bias `bias`."""
+def _masses(point: dict, seed, rows: int, bias: float) -> float | np.ndarray:
+    """Distributions over Z_n of `rows` trials: the float 1/n, the mass of every
+    vertex, for the uniform instance, else a far instance of shape (rows, n), a
+    paired one with pair bias `bias`."""
     kind = point.get("instance", "uniform")
     n = point["n"]
     if kind == "uniform":
-        return np.full((rows, n), 1.0 / n)
+        return 1.0 / n
     if kind == "interval_far":
         return _interval_far_rows(n, point["epsilon"], seed, rows, point.get("width"))
     if kind == "paired_far":
@@ -281,8 +282,18 @@ def _cc_draw(point: dict, cfg: CCTesterConfig, graph: BaseGraph, m: float, rows:
 
 
 def _pt_large_draw(point: dict, m: float, rows: int, rng, inst) -> np.ndarray:
-    """Poissonized counts over [2n] of `rows` parity-trace trials."""
-    return rng.poisson(m * _pt_masses(point, inst, rows))
+    """Poissonized counts over [2n] of `rows` parity-trace trials.
+
+    The uniform instance draws every cell at the one rate m * (0.5 / n).  Its
+    counts are those of the (rows, 2n) rate array of `_pt_masses`: numpy draws
+    an array rate one cell at a time in C order, and 0.5 * (1.0 / n) == 0.5 / n.
+    """
+    n = point["n"]
+    if point.get("instance", "uniform") == "uniform":
+        return rng.poisson(m * (0.5 / n), size=(rows, 2 * n))
+    lam = _pt_masses(point, inst, rows)
+    lam *= m
+    return rng.poisson(lam)
 
 
 def _pt_small_draw(point: dict, m: int, rows: int, rng, inst) -> np.ndarray:

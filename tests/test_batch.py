@@ -9,11 +9,22 @@ import pytest
 
 import paritylab.harness as harness
 from paritylab import _kernels
-from paritylab.collector import _CC_STEPS, _CHUNK_CELLS, BaseGraph, CCTesterConfig, _cc_rows
+from paritylab.collector import (
+    _CC_STEPS,
+    _CHUNK_CELLS,
+    BaseGraph,
+    CCTesterConfig,
+    _cc_rows,
+    _confused_draw,
+    _keep_probs,
+)
 from paritylab.collector import test_uniformity_cc as cc_verdict
 from paritylab.core import SampleMultiset, circular_runs, necklace_sums, parity_trace
 from paritylab.harness import (
     ExperimentSpec,
+    _cc_draw,
+    _pt_large_draw,
+    _setup,
     estimate_acceptance,
     run_cc_trial,
     run_pt_large_trial,
@@ -30,7 +41,7 @@ from paritylab.parity import (
 )
 from paritylab.parity import test_uniformity_pt_large as pt_large_verdict
 from paritylab.parity import test_uniformity_pt_small as pt_small_verdict
-from paritylab.rng import split_seed
+from paritylab.rng import generator, split_seed
 
 RUN_TRIAL = {"cc": run_cc_trial, "pt_large": run_pt_large_trial, "pt_small": run_pt_small_trial}
 
@@ -223,3 +234,50 @@ def test_pt_large_point_memory_is_bounded_by_the_chunk(monkeypatch):
         tracemalloc.stop()
         assert rows == [max(1, _CHUNK_CELLS // (2 * n))] * trials
     assert peaks[1] <= peaks[0] * 1.05
+
+
+def test_half_of_one_over_n_is_one_half_over_n():
+    # the uniform pt_large rate m * (0.5 / n) is the odd cells' m * (0.5 * (1.0 / n))
+    n = np.arange(1, 2**20, dtype=np.float64)
+    assert np.array_equal(0.5 / n, 0.5 * (1.0 / n))
+
+
+@pytest.mark.parametrize("n", [2, 7, 64, 255, 4097])
+def test_uniform_scalar_rate_draws_the_rate_array_counts(n):
+    rows, epsilon = 5, 0.3
+    cc_point = {"n": n, "epsilon": epsilon, "eta": 0.5}
+    cfg, m = _setup("cc", cc_point)
+    graph = BaseGraph("cycle", n)
+    scalar = _cc_draw(cc_point, cfg, graph, m, rows, generator(n), None)
+    array = _confused_draw(generator(n), graph, _keep_probs(graph, cfg.eta), m,
+                           lambda rows: np.full((rows, n), 1.0 / n), rows)[1]
+    assert np.array_equal(scalar, array)
+    pt_point = {"n": n, "epsilon": epsilon}
+    _, m = _setup("pt_large", pt_point)
+    rates = np.full((rows, 2 * n), 0.5 / n)
+    rates[:, 0::2] = 0.5 * np.full((rows, n), 1.0 / n)
+    assert np.array_equal(_pt_large_draw(pt_point, m, rows, generator(n), None),
+                          generator(n).poisson(m * rates))
+
+
+def test_a_pt_large_trial_with_no_empty_slot_skips_the_labels(monkeypatch):
+    # at the shipped budget, m/2n = 21 at n=65536, every slot is sampled; with no
+    # labels, cumsum or bincount the trial peaked at 2.0 MB, and at 5.1 MB with them
+    point = {"n": 65536, "epsilon": 0.3}
+    full = []
+
+    def spy(counts):
+        full.append(bool(counts.all()))
+        return necklace_sums(counts)
+
+    monkeypatch.setattr(harness, "necklace_sums", spy)
+    spec = ExperimentSpec("pt_large", [point], 1, 19)
+    estimate_acceptance(spec)
+    tracemalloc.start()
+    try:
+        estimate_acceptance(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert full == [True, True]
+    assert peak < 3 * 2**20

@@ -8,6 +8,8 @@ import pytest
 from paritylab.collector import (
     BaseGraph,
     CCTesterConfig,
+    _arc_ends,
+    _confused_draw,
     _cycle_join_product,
     _join_sum,
     confused_trials,
@@ -90,6 +92,11 @@ def test_mass_vector_must_match_the_graph():
         confused_trials(np.array([0.5]), 200.0, g, 0.5, 10, seed=1)
     with pytest.raises(ValueError, match="sizes differ"):
         sample_confused(np.array([0.5]), 200.0, g, 0.5, seed=1)
+    with pytest.raises(ValueError, match="sizes differ"):  # a 0-d array fits no graph
+        sample_confused(0.5, 200.0, g, 0.5, seed=1)
+    with pytest.raises(ValueError, match="sizes differ"):  # one row per draw
+        _confused_draw(generator(1), g, np.full(64, 0.5), 200.0,
+                       lambda rows: np.full((rows, 65), 1 / 65), 2)
 
 
 def test_phi_row_sum_closed_form():
@@ -180,6 +187,31 @@ def test_phi_from_keep_probs_matches_arc_products():
         phi = phi_from_keep_probs(keep, kind)
         np.testing.assert_allclose(phi, expect, rtol=0, atol=1e-14, err_msg=f"{kind} {keep}")
         assert np.array_equal(phi == 0, expect == 0)  # a zero edge joins nothing
+
+
+def mirrored_by_full_transpose(keep: np.ndarray, kind: str) -> np.ndarray:
+    """`phi_from_keep_probs` as it was, symmetrized by phi += phi.T in one step."""
+    cycle = kind == "cycle"
+    n = keep.size + (not cycle)
+    pre, suf = _arc_ends(keep)
+    phi = np.zeros((n, n))
+    for i in range(n - 1):
+        row = phi[i, i + 1:]
+        np.multiply.accumulate(keep[i : n - 1], out=row)
+        if cycle:
+            row += pre[i] * suf[i + 1:] * (1.0 - row)
+    phi += phi.T
+    np.fill_diagonal(phi, 1.0)
+    return phi
+
+
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
+@pytest.mark.parametrize("kind", ["path", "cycle"])
+def test_phi_mirror_in_blocks_matches_the_full_transpose(n, kind):
+    # n edges: n vertices on the cycle, n + 1 on the path; blocks of 64 rows
+    keep = np.random.default_rng(n).random(n)
+    keep[::7] = 0.0
+    assert np.array_equal(phi_from_keep_probs(keep, kind), mirrored_by_full_transpose(keep, kind))
 
 
 @pytest.mark.parametrize("keep, kind", [

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from paritylab import _kernels
 from paritylab.core import (
     PartialDistribution,
     PartialDistributionPair,
     SampleMultiset,
     circular_runs,
+    necklace_sums,
     pair_from_json,
     pair_to_json,
     parity_trace,
@@ -144,6 +146,51 @@ def test_runs_from_counts_matches_string_path():
         assert sorted(via_string.zero_runs) == sorted(direct.zero_runs)
         assert direct.length == via_string.length == int(counts.sum())
         assert direct.bits == parity_trace(SampleMultiset(counts))
+
+
+@pytest.mark.parametrize("counts, message", [
+    ([3.5, 1, 2, 2], "whole numbers"),  # was truncated to [3, 1, 2, 2]
+    ([3, 1, np.nan, 2], "whole numbers"),
+    ([3, 1, np.inf, 2], "whole numbers"),
+    (["3", "1"], "whole numbers"),
+    ([3, 1, 2], "even length"),  # failed inside numpy's concatenate
+    ([[3, 1], [2, 2]], "even length"),
+    ([3, -2, 4, 1], "non-negative"),  # failed with "run lengths do not add up"
+    ([3.0, -2.0, 4.0, 1.0], "non-negative"),
+])
+def test_runs_from_counts_rejects_invalid_counts(counts, message):
+    with pytest.raises(ValueError, match=message):
+        runs_from_counts(np.array(counts))
+
+
+def test_runs_from_counts_takes_whole_floats_as_counts():
+    direct = runs_from_counts(np.array([3.0, 0.0, 2.0, 2.0]))
+    assert direct.one_runs.tolist() == [5] and direct.zero_runs.tolist() == [2]
+    assert direct.source.dtype == np.int64
+
+
+def labels_necklace_sums(counts: np.ndarray) -> np.ndarray:
+    """`necklace_sums` through bucket labels and sums on every row, whatever the counts."""
+    rows, n = counts.shape[0], counts.shape[1] // 2
+    odd, even = counts[:, 0::2], counts[:, 1::2]
+    keep = np.concatenate((even == 0, np.roll(odd, -1, axis=1) == 0))
+    labels = _kernels.bucket_labels(keep, n, True)
+    values = np.concatenate((odd, even), dtype=np.float64)
+    return _kernels.bucket_sums(values, labels).reshape(2, rows, n)
+
+
+def test_necklace_sums_match_the_labels_path():
+    rng = np.random.default_rng(19)
+    for n in range(1, 65):
+        full = rng.integers(1, 5, size=(6, 2 * n))
+        one_zero = full.copy()
+        one_zero[np.arange(6), rng.integers(0, 2 * n, size=6)] = 0
+        many_zeros = full * (rng.random((6, 2 * n)) < 0.5)
+        for counts in (full, one_zero, many_zeros, np.zeros((3, 2 * n), dtype=np.int64)):
+            got, expect = necklace_sums(counts), labels_necklace_sums(counts)
+            assert got.shape == expect.shape == (2, counts.shape[0], n)
+            assert got.dtype == expect.dtype == np.float64
+            assert np.array_equal(got, expect)
 
 
 def test_pt_large_default_m_same_on_counts_and_string():
