@@ -13,8 +13,9 @@ sliding windows of prefix sums, in row blocks that stay in L2: at n=512 it
 takes 1.3 ms against 6.3-6.9 ms for the one-shot table with index gathers
 (the join matrix and its O(n) product behind the conjugate residual live
 in `collector`, as direct products of keeps).  All randomness is drawn by
-the callers, outside the kernels.  ``paritylab.benchmarks`` times every
-kernel.
+the callers, outside the kernels.  ``perfbench/run.py`` times them in
+their callers: the DPs in the edit oracles, the scan in the conjugate
+oracles, and the bucket kernels in every cc trial.
 """
 
 from __future__ import annotations

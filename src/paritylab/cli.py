@@ -1,5 +1,5 @@
 """Command-line surface: sample, test, phi, dist, instance, experiment,
-calibrate, bench.
+calibrate.
 
 Exit codes: 0 on success, 1 on usage errors, 2 on precondition violations
 (invalid parameter combinations detected by the library).
@@ -62,7 +62,7 @@ def _cmd_test(args) -> int:
     elif args.tester == "cc":
         counts = np.asarray(json.loads(_read_text(args.trace)), dtype=np.float64)
         cfg = CCTesterConfig(epsilon=args.eps, eta=args.eta)
-        m = args.m or cfg.sample_size(args.n)
+        m = cfg.sample_size(args.n) if args.m is None else args.m
         verdict = test_uniformity_cc(counts, cfg, args.n, m,
                                      BaseGraph(args.graph, args.n),
                                      override_range_check=args.override)
@@ -140,13 +140,6 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from . import benchmarks
-
-    benchmarks.run(repeats=args.repeats)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="paritylab")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -218,10 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--instance", default=None)
     s.add_argument("--beta", type=float, default=None)
     s.set_defaults(fn=_cmd_calibrate)
-
-    s = sub.add_parser("bench", help="time the numeric kernels")
-    s.add_argument("--repeats", type=int, default=3)
-    s.set_defaults(fn=_cmd_bench)
 
     return parser
 

@@ -380,6 +380,7 @@ def _cc_rows(x, config: CCTesterConfig, n: int, m: float, graph: BaseGraph,
         )
     if graph.n != n:
         raise ValueError("graph and domain sizes differ")
+    _check_positive(m, "m")
     # max and min propagate NaN, so these reductions catch NaN, +-inf and negatives
     if not (math.isfinite(x.max(initial=0.0)) and x.min(initial=0.0) >= 0):
         raise ValueError("bucket counts must be finite and non-negative")
@@ -397,7 +398,8 @@ def test_uniformity_cc(x_counts, config: CCTesterConfig, n: int, m: float,
 
     Step 1 rejects when any bucket count reaches alpha*log(n); step 2
     rejects when Y exceeds its uniform-case expectation by the margin
-    beta*(m/n)*eps^2*eta.
+    beta*(m/n)*eps^2*eta.  A sample size `m` that is not finite and
+    positive raises ValueError.
     """
     if graph is None:
         graph = BaseGraph("cycle", n)

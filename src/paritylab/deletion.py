@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .collector import _check_epsilon
-from .core import (_NOT_BITS, PartialDistribution, PartialDistributionPair, _split_poisson,
+from .core import (PartialDistribution, PartialDistributionPair, _ascii_codes, _split_poisson,
                    parse_bits)
 from .editdist import DensitySequence, dist_to_nblock, psi, psi_inv
 from .parity import PTTesterConfig, test_uniformity_pt
@@ -89,21 +89,6 @@ def uniform_block_string(n_chars: int, n_blocks: int, first: int = 1) -> str:
 # 12.7 against 13.1 us.  poissonize crosses near 40 at rho=0.05 and above 64
 # at rho=0.9, where its output is longer.
 _SHORT_TRACE = 48
-
-
-def _ascii_codes(x: str) -> bytes:
-    """The ASCII bytes of `x`, or ValueError unless every character is 0 or 1.
-
-    A string under 4096 bytes is checked by deleting its 0s and 1s from the
-    bytes, which costs less than the two numpy calls of the long-string
-    check (both take about 1.7 us at 4000 bytes on a 2-vCPU VM).  There, xor
-    maps "0" and "1" to 0 and 1 and every other byte above 1.
-    """
-    codes = x.encode("ascii")
-    if (codes.translate(None, b"01") if len(codes) < 4096
-            else (np.frombuffer(codes, dtype=np.uint8) ^ 48).max() > 1):
-        raise ValueError(_NOT_BITS)
-    return codes
 
 
 def deletion_trace(x: str, rho: float, seed) -> str:

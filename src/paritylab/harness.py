@@ -160,11 +160,14 @@ class ExperimentSpec:
         obj = json.loads(text)
         if obj.get("schema") != 1:
             raise ValueError("unsupported spec schema")
+        for key in ("trials", "seed"):
+            if type(obj[key]) is not int:  # not isinstance: a bool is an int
+                raise ValueError(f"{key!r} must be a JSON integer, got {obj[key]!r}")
         return cls(
             tester=obj["tester"],
             grid=list(obj["grid"]),
-            trials=int(obj["trials"]),
-            seed=int(obj["seed"]),
+            trials=obj["trials"],
+            seed=obj["seed"],
         )
 
     def to_json(self) -> str:

@@ -155,12 +155,11 @@ def _pt_large_rows(runs, n: int, epsilon: float, config: PTTesterConfig, m: floa
     run and change no statistic.  Returns (first, stats, threshold_Y,
     threshold_run): first[i] indexes _PT_LARGE_STEPS at the first failing
     check of row i, and stats[j, i] is statistic _PT_LARGE_STATS[j] of row
-    i.  A sample size `m` that is not positive, or an epsilon outside
-    (0,2], raises ValueError.
+    i.  A sample size `m` that is not finite and positive, or an epsilon
+    outside (0,2], raises ValueError.
     """
     _check_epsilon(epsilon)
-    if not m > 0:
-        raise ValueError(f"the large-eps tester needs a positive sample size, got m={m}")
+    _check_positive(m, "m")
     x = np.asarray(runs, dtype=np.float64)
     max_run, y, threshold_run, threshold_y = _collision_check(
         x, m, n, 2 * n, math.exp(-m / (2 * n)), True, config.alpha,
@@ -188,9 +187,9 @@ def test_uniformity_pt_large(trace, n: int, epsilon: float,
     verdict reports the statistics of the classes checked up to the first
     failing check.
 
-    `m` defaults to the trace length; a sample size that is not positive
-    (an empty trace, for instance), or an epsilon outside (0,2], raises
-    ValueError.
+    `m` defaults to the trace length; a sample size that is not finite and
+    positive (an empty trace, for instance), or an epsilon outside (0,2],
+    raises ValueError.
     """
     config = config or PTTesterConfig()
     runs = _as_runs(trace)

@@ -348,6 +348,15 @@ def test_tester_rejects_non_finite_and_negative_counts(bad):
         cc_verdict(x, cfg, n, cfg.sample_size(n), BaseGraph("cycle", n))
 
 
+@pytest.mark.parametrize("m", [np.nan, np.inf, -np.inf, 0.0, -5.0])
+def test_tester_rejects_m_that_is_not_finite_and_positive(m):
+    # on these counts m = nan, +inf and 0 (0/0 in Y) used to accept, and -inf and -5
+    # to reject by collision
+    cfg = CCTesterConfig(epsilon=0.3, eta=0.5)
+    with pytest.raises(ValueError, match="m must be finite and positive"):
+        cc_verdict(np.ones(64), cfg, 64, m, override_range_check=True)
+
+
 def test_tester_rejects_a_graph_of_another_size():
     cfg = CCTesterConfig(epsilon=0.3, eta=0.5)
     with pytest.raises(ValueError, match="sizes differ"):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from paritylab import _kernels, deletion
-from paritylab.core import parity_trace, sample_poissonized, split_sample_k
+from paritylab.core import parity_trace, parse_bits, sample_poissonized, split_sample_k
 from paritylab.deletion import (
     TraceTestSpec,
     _fit_alternating,
@@ -76,6 +76,17 @@ def test_channel_rejects_non_binary_strings(channel, x):
     with pytest.raises(ValueError, match="only the characters 0 and 1"):
         channel(x, 0.5, rng)
     assert rng.random() == ref.random()  # it raises before drawing
+
+
+@pytest.mark.parametrize("length", [6, 100, 5000])
+@pytest.mark.parametrize("bad", ["012", "0 1", "/", "\x00", "é"])
+def test_one_bit_check_in_the_parser_and_the_channel(bad, length):
+    # parse_bits, deletion_trace and poissonize share one check, with a translate
+    # below 4096 bytes and a numpy reduction at or above
+    x = ("01" * length)[: length - len(bad)] + bad
+    for fn in (parse_bits, lambda s: deletion_trace(s, 0.5, 1), lambda s: poissonize(s, 0.5, 1)):
+        with pytest.raises(ValueError):
+            fn(x)
 
 
 def test_poissonize_empty_and_rho_validation():

@@ -1,5 +1,6 @@
 """Instance generators, acceptance estimation, calibration, CLI."""
 
+import argparse
 import json
 import math
 import shlex
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from paritylab.cli import build_parser
+from paritylab.cli import build_parser, main
 from paritylab.collector import CCTesterConfig
 from paritylab.core import sample_poissonized
 from paritylab.editdist import DensitySequence, tv_distance, uniform_density
@@ -248,6 +249,31 @@ def test_cli_experiment_missing_field_exits_2(tmp_path, point, missing):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("key,value", [("trials", 2.7), ("trials", True), ("trials", "5"),
+                                       ("trials", 5.0), ("seed", 1.9), ("seed", False)])
+def test_cli_experiment_non_integer_trials_or_seed_exits_2(tmp_path, key, value):
+    # int() used to round them: 2.7 ran 2 trials, true 1, "5" 5, and seed 1.9 seed 1
+    spec = {"schema": 1, "tester": "pt_small", "grid": [{"n": 8, "epsilon": 0.3}],
+            "trials": 5, "seed": 9, key: value}
+    with pytest.raises(ValueError, match=repr(key)):
+        ExperimentSpec.from_json(json.dumps(spec))
+    sfile = tmp_path / "spec.json"
+    sfile.write_text(json.dumps(spec))
+    assert main(["experiment", str(sfile)]) == 2
+
+
+@pytest.mark.parametrize("m", ["nan", "inf", "0", "-5"])
+@pytest.mark.parametrize("args,payload", [(["cc", "--n", "16", "--override"], "[1, 2, 3]"),
+                                          (["pt", "--n", "8", "--mode", "large_eps"], "1010")])
+def test_cli_m_that_is_not_finite_and_positive_exits_2(tmp_path, capsys, args, payload, m):
+    # test cc --m nan accepted, and --m 0 ran at the formula's m
+    tfile = tmp_path / "in.txt"
+    tfile.write_text(payload)
+    assert main(["test", *args, "--trace", str(tfile), "--eps", "0.3", "--m", m]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "m must be finite and positive" in out.err
+
+
 def test_cli_instance_and_errors(tmp_path):
     out = run_cli("instance", "paired", "--n", "4", "--eps", "0.4", "--seed", "1")
     assert out.returncode == 0
@@ -373,3 +399,6 @@ def test_readme_cli_examples_parse():
     for line in lines:
         args = parser.parse_args(shlex.split(line)[1:])
         assert callable(args.fn), line
+    # together the lines show every subcommand the parser has
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {shlex.split(line)[1] for line in lines} == set(sub.choices)

@@ -141,6 +141,13 @@ def test_pt_large_rejects_empty_trace_and_nonpositive_m():
         pt_large("1010", 16, 0.3, m=0.0)
 
 
+@pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf, 0.0, -5.0])
+def test_pt_large_rejects_m_that_is_not_finite_and_positive(m):
+    # m = inf used to accept this trace, with threshold_Y inf
+    with pytest.raises(ValueError, match="m must be finite and positive"):
+        pt_large("10" * 32, 32, 0.3, m=m)
+
+
 @pytest.mark.parametrize("epsilon", [0.0, -0.3, math.nan, math.inf, 2.5])
 def test_pt_testers_reject_an_epsilon_outside_0_2(epsilon):
     # a NaN epsilon used to accept: no statistic exceeds a NaN threshold

@@ -173,19 +173,3 @@ def test_verdict_json_is_strict():
     assert obj["statistics"] == {"x": None, "hi": None, "lo": None,
                                  "np": None, "ok": 1.5, "k": 3}
     assert obj["params"] == {"beta": None, "branch": "large_eps"}
-
-
-def test_benchmark_smoke(capsys):
-    from paritylab import benchmarks
-
-    benchmarks.run(repeats=1)
-    out = capsys.readouterr().out
-    assert "kernel" in out and "bucket_labels" in out
-    assert "N=16384 k=63" in out  # rows name their shapes
-    assert "interval_scan" in out and "n=512" in out
-    # levenshtein: the bit-parallel path on random strings, the run path on psi strings
-    assert "random N=M=4096" in out and "psi N=M=16384 K=28,22" in out
-    for tester in ("cc", "pt_large", "pt_small"):  # one estimate_acceptance point each
-        assert f"estimate {tester}" in out
-    assert "deletion pipeline" in out and "N=65536 blocks=64 rho=0.5" in out
-    assert "5 strings N=1-16 x200" in out  # the short path, on criterion 10's strings
