@@ -117,7 +117,9 @@ class RunLengthTrace:
     (`runs_from_counts`), held without a copy.  `length` is the number of
     symbols, Σ one_runs + Σ zero_runs, checked against the source on
     construction.  The testers read only the runs and the length; `bits`
-    returns the trace string, built from the counts on first read.
+    returns the trace string, built from the counts on first read.  The
+    public testers build one from a string, and perfbench's rebuilds of
+    the trials one from counts, through `runs_from_counts`.
     """
 
     one_runs: np.ndarray
@@ -206,7 +208,8 @@ def runs_from_counts(counts: np.ndarray) -> RunLengthTrace:
     source and builds the trace string only if `bits` is read.  The runs are
     the nonzero entries of `necklace_sums` on the one row `counts`.  Counts
     that are not a 1-d vector of even length, or whose entries are not
-    finite, non-negative whole numbers, raise ValueError.
+    finite, non-negative whole numbers, raise ValueError.  Only perfbench's
+    rebuild of the `pt_large` trial and the tests call it.
     """
     counts = np.asarray(counts)
     if counts.ndim != 1 or counts.size % 2:
@@ -300,8 +303,19 @@ def pair_to_json(pair: PartialDistributionPair) -> str:
     )
 
 
-def pair_from_json(text: str) -> PartialDistributionPair:
+def _json_object(text: str, keys, what: str) -> dict:
+    """The JSON object in `text`; ValueError unless it is an object with every key."""
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{what} has no {key!r}")
+    return obj
+
+
+def pair_from_json(text: str) -> PartialDistributionPair:
+    obj = _json_object(text, ("n", "p", "q"), "a distribution")
     p = PartialDistribution(np.asarray(obj["p"], dtype=np.float64))
     q = PartialDistribution(np.asarray(obj["q"], dtype=np.float64))
     if p.n != obj["n"] or q.n != obj["n"]:

@@ -15,7 +15,7 @@ import io
 import json
 import math
 import numbers
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -30,23 +30,17 @@ from .collector import (
     _row_chunks,
     test_uniformity_cc,
 )
-from .core import (
-    PartialDistribution,
-    PartialDistributionPair,
-    SampleMultiset,
-    necklace_sums,
-    parity_trace,
-    runs_from_counts,
-)
+from . import _kernels
+from .core import PartialDistribution, PartialDistributionPair, _json_object, necklace_sums
 from .parity import (
     _PT_LARGE_STATS,
     _PT_LARGE_STEPS,
     _PT_SMALL_STEPS,
     PTTesterConfig,
     _pt_large_rows,
+    _pt_large_verdict,
     _pt_small_rows,
-    test_uniformity_pt_large,
-    test_uniformity_pt_small,
+    _pt_small_verdict,
 )
 from .rng import generator, split_seed
 from .verdict import Verdict
@@ -157,29 +151,16 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
-        obj = json.loads(text)
+        obj = _json_object(text, [f.name for f in fields(cls)], "an experiment spec")
         if obj.get("schema") != 1:
             raise ValueError("unsupported spec schema")
         for key in ("trials", "seed"):
             if type(obj[key]) is not int:  # not isinstance: a bool is an int
                 raise ValueError(f"{key!r} must be a JSON integer, got {obj[key]!r}")
-        return cls(
-            tester=obj["tester"],
-            grid=list(obj["grid"]),
-            trials=obj["trials"],
-            seed=obj["seed"],
-        )
+        return cls(obj["tester"], list(obj["grid"]), obj["trials"], obj["seed"])
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema": 1,
-                "tester": self.tester,
-                "grid": self.grid,
-                "trials": self.trials,
-                "seed": self.seed,
-            }
-        )
+        return json.dumps({"schema": 1, **asdict(self)})
 
 
 @dataclass(frozen=True)
@@ -318,17 +299,18 @@ def run_cc_trial(point: dict, seed) -> Verdict:
 def run_pt_large_trial(point: dict, seed) -> Verdict:
     cfg, m = _setup("pt_large", point)
     s_inst, s_run = split_seed(seed, 2)
-    counts = _pt_large_draw(point, m, 1, generator(s_run), s_inst)[0]
-    return test_uniformity_pt_large(runs_from_counts(counts), point["n"], point["epsilon"],
-                                    cfg, m=m)
+    # no name holds the counts, so they are freed once their runs are summed
+    return _pt_large_verdict(necklace_sums(_pt_large_draw(point, m, 1, generator(s_run), s_inst)),
+                             point["n"], point["epsilon"], cfg, m)
 
 
 def run_pt_small_trial(point: dict, seed) -> Verdict:
     cfg, m = _setup("pt_small", point)
     s_inst, s_run = split_seed(seed, 2)
     counts = _pt_small_draw(point, m, 1, generator(s_run), s_inst)[0]
-    return test_uniformity_pt_small(parity_trace(SampleMultiset(counts)), point["n"],
-                                    point["epsilon"], cfg)
+    # slot j holds element j+1, whose low bit is 1 - j % 2; runs join over empty slots
+    values = _kernels.bit_runs(1 - np.flatnonzero(counts) % 2)[0]
+    return _pt_small_verdict(counts, values, counts.sum(), point["n"], point["epsilon"], cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +365,9 @@ def estimate_acceptance(spec: ExperimentSpec) -> AcceptanceCurve:
     byte-identical across reruns.  The mean statistic is Y (cc), Y1
     (pt_large) or C (pt_small), counted as 0.0 on a trial rejected before
     the statistic is computed.  `run_cc_trial`, `run_pt_large_trial` and
-    `run_pt_small_trial` make one trial from their own seed through the
-    same draw and checks; the reference for both is the verdicts and CSV
+    `run_pt_small_trial` run one trial from their own seed as the one-row
+    batch: the same draw and checks, then the verdict builder that the
+    public tester shares; the reference for both is the verdicts and CSV
     bytes that the tests pin by digest.
     """
     try:

@@ -135,12 +135,6 @@ def uht_histogram(counts, domain_size: int, epsilon: float) -> Verdict:
     return Verdict(True, "none", stats, params)
 
 
-def _as_runs(trace) -> RunLengthTrace:
-    if isinstance(trace, RunLengthTrace):
-        return trace
-    return circular_runs(trace)
-
-
 # the six checks of the large-eps tester in order, and "none" past the last
 _PT_LARGE_STEPS = ("bias", "concentration", "collision") * 2 + ("none",)
 # the per-class statistics, class 1 first
@@ -175,6 +169,20 @@ def _pt_large_rows(runs, n: int, epsilon: float, config: PTTesterConfig, m: floa
     return failed.argmax(axis=0), stats.reshape(6, -1), threshold_y, threshold_run
 
 
+def _pt_large_verdict(runs, n: int, epsilon: float, config: PTTesterConfig, m: float) -> Verdict:
+    """The verdict of `test_uniformity_pt_large` on row 0 of (2, 1, k) run sums."""
+    params = {"alpha": config.alpha, "beta": config.beta, "gamma": config.gamma,
+              "c_m": config.c_m, "epsilon": epsilon, "n": n, "m": m, "branch": "large_eps"}
+    first, rows, threshold_y, threshold_run = _pt_large_rows(runs, n, epsilon, config, m)
+    first = int(first[0])
+    fired = _PT_LARGE_STEPS[first]
+    stats = {"threshold_Y": threshold_y, "threshold_run": threshold_run}
+    # class 0 is checked, and reported, only when class 1 passes its three checks
+    reported = 3 if first < 3 else 6
+    stats.update(zip(_PT_LARGE_STATS[:reported], rows[:reported, 0].tolist()))
+    return Verdict(fired == "none", fired, stats, params)
+
+
 def test_uniformity_pt_large(trace, n: int, epsilon: float,
                              config: PTTesterConfig | None = None,
                              m: float | None = None) -> Verdict:
@@ -191,23 +199,12 @@ def test_uniformity_pt_large(trace, n: int, epsilon: float,
     positive (an empty trace, for instance), or an epsilon outside (0,2],
     raises ValueError.
     """
-    config = config or PTTesterConfig()
-    runs = _as_runs(trace)
-    if m is None:
-        m = float(runs.length)
-    params = {"alpha": config.alpha, "beta": config.beta, "gamma": config.gamma,
-              "c_m": config.c_m, "epsilon": epsilon, "n": n, "m": m, "branch": "large_eps"}
+    runs = trace if isinstance(trace, RunLengthTrace) else circular_runs(trace)
     padded = np.zeros((2, 1, max(runs.one_runs.size, runs.zero_runs.size)))
     padded[0, 0, : runs.one_runs.size] = runs.one_runs
     padded[1, 0, : runs.zero_runs.size] = runs.zero_runs
-    first, rows, threshold_y, threshold_run = _pt_large_rows(padded, n, epsilon, config, m)
-    first = int(first[0])
-    fired = _PT_LARGE_STEPS[first]
-    stats = {"threshold_Y": threshold_y, "threshold_run": threshold_run}
-    # class 0 is checked, and reported, only when class 1 passes its three checks
-    reported = 3 if first < 3 else 6
-    stats.update(zip(_PT_LARGE_STATS[:reported], rows[:reported, 0].tolist()))
-    return Verdict(fired == "none", fired, stats, params)
+    return _pt_large_verdict(padded, n, epsilon, config or PTTesterConfig(),
+                             float(runs.length) if m is None else m)
 
 
 _PT_SMALL_STEPS = ("none", "coverage", "histogram")
@@ -228,6 +225,20 @@ def _pt_small_rows(counts, n: int, epsilon: float):
     return np.where(covered, 2 * reject, 1), c_stat, m, threshold
 
 
+def _pt_small_verdict(counts, values, length: int, n: int, epsilon: float,
+                      config: PTTesterConfig) -> Verdict:
+    """The verdict of `test_uniformity_pt_small` on 2n counts, its runs' symbols and length."""
+    params = {"c_small": config.c_small, "epsilon": epsilon, "n": n, "branch": "small_eps"}
+    ones = int(np.sum(values == 1))
+    stats = {"one_runs": ones, "zero_runs": values.size - ones, "m": float(length)}
+    step, c_stat, m, threshold = _pt_small_rows(np.reshape(counts, (1, -1)), n, epsilon)
+    fired = _PT_SMALL_STEPS[step[0]]
+    if fired != "coverage":
+        stats.update({"C": float(c_stat[0]), "threshold": threshold, "m": float(m[0]),
+                      "D": 2 * n})
+    return Verdict(fired == "none", fired, stats, params)
+
+
 def test_uniformity_pt_small(trace, n: int, epsilon: float,
                              config: PTTesterConfig | None = None) -> Verdict:
     """Coupon-collection tester for tiny distance parameters.
@@ -237,22 +248,13 @@ def test_uniformity_pt_small(trace, n: int, epsilon: float,
     coverage failure, otherwise hand the 2n multiplicities to the
     histogram tester.
     """
-    config = config or PTTesterConfig()
     bits = trace.bits if isinstance(trace, RunLengthTrace) else trace
     values, lengths = linear_runs(bits)
-    params = {"c_small": config.c_small, "epsilon": epsilon, "n": n, "branch": "small_eps"}
-    ones = int(np.sum(values == 1))
-    stats = {"one_runs": ones, "zero_runs": values.size - ones, "m": float(len(bits))}
     # runs alternate, so 2n runs starting with a 1 are the shape (1+0+)^n and list the
     # 2n counts in order; a trace of any other shape missed an element, as a zero row does
     covered = values.size == 2 * n and values.size > 0 and values[0] == 1
-    row = lengths if covered else np.zeros(2 * n)
-    step, c_stat, m, threshold = _pt_small_rows(row[None, :], n, epsilon)
-    fired = _PT_SMALL_STEPS[step[0]]
-    if fired != "coverage":
-        stats.update({"C": float(c_stat[0]), "threshold": threshold, "m": float(m[0]),
-                      "D": 2 * n})
-    return Verdict(fired == "none", fired, stats, params)
+    return _pt_small_verdict(lengths if covered else np.zeros(2 * n), values, len(bits), n,
+                             epsilon, config or PTTesterConfig())
 
 
 def test_uniformity_pt(trace, n: int, epsilon: float,

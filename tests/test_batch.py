@@ -51,6 +51,13 @@ def mixed_counts(rng, rows: int, cols: int, lam: float) -> np.ndarray:
     return rng.poisson(np.linspace(0.0, 4 * lam, rows)[:, None], size=(rows, cols))
 
 
+def assert_has_empty_slots(counts: np.ndarray) -> None:
+    """The rows hold an all-zero first row, and an empty first, last and interior slot."""
+    empty = counts == 0
+    assert empty[0].all() and empty[1:, 0].any() and empty[1:, -1].any()
+    assert (empty[1:, 1:-1].any(axis=1) & ~empty[1:, 0] & ~empty[1:, -1]).any()
+
+
 def test_cc_rows_match_the_per_trial_tester():
     rng = np.random.default_rng(7)
     n, m = 64, 600.0
@@ -71,7 +78,7 @@ def test_cc_rows_match_the_per_trial_tester():
     assert steps == {"none", "concentration", "collision"}
 
 
-def test_pt_large_rows_match_the_per_trial_tester_on_the_string():
+def test_pt_large_rows_match_the_per_trial_tester_on_the_string(monkeypatch):
     rng = np.random.default_rng(8)
     n, m, eps = 32, 300.0, 0.5
     cfg = PTTesterConfig(alpha=4.0)
@@ -82,11 +89,16 @@ def test_pt_large_rows_match_the_per_trial_tester_on_the_string():
     counts[14:30, 0::2] = rng.poisson(0.8 * lam, size=(16, n))  # class 1 passes ...
     counts[14:18, 1::2] *= 3  # ... and class 0 has too many zeros
     counts[18:30, 1::2] = rng.poisson(1.2 * lam, size=(12, n))  # ... or too many collisions
+    assert_has_empty_slots(counts)
     first, stats, _, _ = _pt_large_rows(necklace_sums(counts), n, eps, cfg, m)
+    # the one-row path: the trial, with its draw replaced by row i
+    monkeypatch.setattr(harness, "_pt_large_draw", lambda point, m, rows, rng, inst: counts[[i]])
     seen = set()
     for i, row in enumerate(counts):
         v = pt_large_verdict(circular_runs(parity_trace(SampleMultiset(row))), n, eps, cfg, m=m)
         assert (v.accept, v.fired_step) == (first[i] == 6, _PT_LARGE_STEPS[first[i]])
+        trial = run_pt_large_trial({"n": n, "epsilon": eps, "m": m, "alpha": cfg.alpha}, 0)
+        assert trial.to_json() == v.to_json()
         for key, value in v.statistics.items():
             if key in _PT_LARGE_STATS:
                 assert value == stats[_PT_LARGE_STATS.index(key), i], key
@@ -95,17 +107,22 @@ def test_pt_large_rows_match_the_per_trial_tester_on_the_string():
     assert ("collision", True) in seen and ("bias", True) in seen  # class 0 fired too
 
 
-def test_pt_small_rows_match_the_per_trial_tester_on_the_string():
+def test_pt_small_rows_match_the_per_trial_tester_on_the_string(monkeypatch):
     rng = np.random.default_rng(9)
     n, eps = 8, 0.3
     counts = mixed_counts(rng, 60, 2 * n, 3.0)
     counts[4:8, 0] = 0
     counts[8:12, -1] = 0
+    assert_has_empty_slots(counts)
     step, c_stat, _, _ = _pt_small_rows(counts, n, eps)
+    monkeypatch.setattr(harness, "_pt_small_draw", lambda point, m, rows, rng, inst: counts[[i]])
     seen = set()
     for i, row in enumerate(counts):
         v = pt_small_verdict(parity_trace(SampleMultiset(row)), n, eps)
         assert (v.accept, v.fired_step) == (step[i] == 0, _PT_SMALL_STEPS[step[i]])
+        # the replaced draw ignores m, and the verdict reports the row's own size
+        trial = run_pt_small_trial({"n": n, "epsilon": eps, "m": 1}, 0)
+        assert trial.to_json() == v.to_json()
         assert v.statistics.get("C", 0.0) == (0.0 if v.fired_step == "coverage" else c_stat[i])
         seen.add(v.fired_step)
     assert seen == {"none", "coverage", "histogram"}
@@ -281,3 +298,17 @@ def test_a_pt_large_trial_with_no_empty_slot_skips_the_labels(monkeypatch):
         tracemalloc.stop()
     assert full == [True, True]
     assert peak < 3 * 2**20
+
+
+def test_a_pt_large_trial_peaks_where_its_point_does():
+    # the trial used to copy its runs into int64 vectors and pad them back into a
+    # float array, and peaked at 4.0 MB; as the one-row batch it peaks at 2.0 MB
+    point = {"n": 65536, "epsilon": 0.3}
+    run_pt_large_trial(point, 19)
+    tracemalloc.start()
+    try:
+        run_pt_large_trial(point, 19)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * 2**20

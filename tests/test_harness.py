@@ -148,19 +148,25 @@ def test_uniform_bias_step_error_rate():
 
 
 def test_pt_large_trial_never_builds_the_trace(monkeypatch):
+    # both parity-trace trials: no trace string is built, and none is parsed
     import paritylab.core
-    from paritylab.core import runs_from_counts
-    from paritylab.harness import run_pt_large_trial
+    from paritylab.core import linear_runs, runs_from_counts
+    from paritylab.harness import run_pt_large_trial, run_pt_small_trial
 
-    def no_trace(sample):
-        raise RuntimeError("the trace string was built")
+    def no_trace(arg):
+        raise RuntimeError("a trace string was built or parsed")
 
     monkeypatch.setattr(paritylab.core, "parity_trace", no_trace)
+    monkeypatch.setattr(paritylab.core, "parse_bits", no_trace)
     with pytest.raises(RuntimeError):  # the patch reaches RunLengthTrace.bits
         runs_from_counts(np.ones(8, dtype=np.int64)).bits
+    with pytest.raises(RuntimeError):  # and the parse of linear_runs
+        linear_runs("10")
     for instance in ("uniform", "paired_far"):
         v = run_pt_large_trial({"n": 64, "epsilon": 0.5, "instance": instance}, 3)
         assert v.params["m"] > 0
+        v = run_pt_small_trial({"n": 8, "epsilon": 0.3, "instance": instance}, 3)
+        assert v.statistics["m"] > 0
 
 
 def test_calibration_trivial_regime():
@@ -260,6 +266,22 @@ def test_cli_experiment_non_integer_trials_or_seed_exits_2(tmp_path, key, value)
     sfile = tmp_path / "spec.json"
     sfile.write_text(json.dumps(spec))
     assert main(["experiment", str(sfile)]) == 2
+
+
+@pytest.mark.parametrize("command,payload,message", [
+    ("experiment", {"schema": 1, "tester": "pt_small", "grid": [{"n": 8, "epsilon": 0.3}],
+                    "seed": 9}, "has no 'trials'"),
+    ("experiment", [{"schema": 1}], "must be a JSON object"),
+    ("sample", {"n": 1, "p": [0.5]}, "has no 'q'"),
+])
+def test_cli_json_input_that_misses_a_key_exits_2(tmp_path, command, payload, message):
+    # each used to exit 1 with a traceback: KeyError 'trials', AttributeError, KeyError 'q'
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    out = run_cli(command, str(path), *(["--m", "10"] if command == "sample" else []))
+    assert out.returncode == 2
+    assert out.stderr.startswith("error:") and message in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 @pytest.mark.parametrize("m", ["nan", "inf", "0", "-5"])
