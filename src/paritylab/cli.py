@@ -34,7 +34,7 @@ from . import (
 from .core import pair_from_json, pair_to_json
 from .editdist import DensitySequence, dist_edit_bounds, tv_distance
 from .harness import calibrate_constants, interval_far_distribution
-from .parity import phi_mu
+from .parity import _PT_MODES, phi_mu
 
 
 def _read_text(path: str) -> str:
@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--m", type=float, default=None)
     s.add_argument("--eta", type=float, default=0.5)
     s.add_argument("--graph", choices=["path", "cycle"], default="cycle")
-    s.add_argument("--mode", choices=["auto", "large_eps", "small_eps"], default="auto")
+    s.add_argument("--mode", choices=_PT_MODES, default=_PT_MODES[0])
     s.add_argument("--override", action="store_true")
     s.add_argument("--N", type=int, default=0)
     s.add_argument("--blocks", type=int, default=0)

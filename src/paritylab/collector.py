@@ -77,8 +77,8 @@ class CCTesterConfig:
 
     `alpha` scales the bucket-count rejection threshold, `beta` the
     collision margin, `c` the sample-size formula, and `L` the lower
-    admissible resolution.  The defaults are the calibrated values that
-    the acceptance suite checks.
+    admissible resolution; each must be finite and positive.  The defaults
+    are the calibrated values that the acceptance suite checks.
     """
 
     epsilon: float
@@ -91,6 +91,8 @@ class CCTesterConfig:
     def __post_init__(self):
         _check_epsilon(self.epsilon)
         _check_eta(self.eta)
+        for name in ("alpha", "beta", "L", "c"):
+            _check_positive(getattr(self, name), name)
 
     def sample_size(self, n: int) -> int:
         """m = c * sqrt(n)/eps^2 * log^2(n)/eta^(3/2)."""
@@ -116,8 +118,8 @@ def _check_epsilon(epsilon) -> None:
 
 
 def _check_positive(value: float, name: str) -> None:
-    """Raise ValueError unless `value` is finite and positive; NaN fails the comparison."""
-    if not (math.isfinite(value) and value > 0):
+    """Raise ValueError unless `value` is a finite positive real; NaN fails the comparison."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 

@@ -293,11 +293,9 @@ def _promised_uniform_verdict(poi: str, spec: TraceTestSpec, config: PTTesterCon
     trace or its negation.
 
     The trace budget follows the moderate-distance sample-size formula and
-    the poissonized symbols already carry Poisson noise, so the run-length
-    branch is forced unless the caller picked a mode explicitly.
+    the poissonized symbols already carry Poisson noise, so it runs the
+    run-length branch, the default mode, unless `config` names the other.
     """
-    if config.mode == "auto":
-        config = replace(config, mode="large_eps")
     m_eff = spec.n_chars * math.log(1.0 / (1.0 - spec.rho))
     half = spec.n_blocks // 2
     eps = spec.epsilon / 2.0  # string-to-distribution farness loses a factor 2

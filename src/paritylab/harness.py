@@ -142,8 +142,9 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        if not self.grid:
-            raise ValueError("grid must be non-empty")
+        if not (isinstance(self.grid, list) and self.grid
+                and all(isinstance(point, dict) for point in self.grid)):
+            raise ValueError("grid must be a non-empty list of objects")
         for point in self.grid:
             for key in ("n", "epsilon"):
                 if key not in point:
@@ -157,7 +158,7 @@ class ExperimentSpec:
         for key in ("trials", "seed"):
             if type(obj[key]) is not int:  # not isinstance: a bool is an int
                 raise ValueError(f"{key!r} must be a JSON integer, got {obj[key]!r}")
-        return cls(obj["tester"], list(obj["grid"]), obj["trials"], obj["seed"])
+        return cls(obj["tester"], obj["grid"], obj["trials"], obj["seed"])
 
     def to_json(self) -> str:
         return json.dumps({"schema": 1, **asdict(self)})
@@ -413,10 +414,13 @@ def calibrate_constants(tester: str, n: int, epsilon: float, *, eta: float | Non
     Doubles c until both the accept rate on the uniform instance and the
     reject rate on the far instance reach 1 - target_error, then shrinks
     the bracket.  Fails with diagnostics when no c <= 64 suffices.
-    The audit trail lists every probed configuration.
+    The audit trail lists every probed configuration.  A target_error
+    outside [0,1) raises ValueError before the first probe.
     """
     if tester not in ("cc", "pt_large"):
         raise ValueError("calibration supports the cc and pt_large testers")
+    if not 0 <= target_error < 1:  # NaN fails the comparison
+        raise ValueError(f"target_error must lie in [0,1), got {target_error!r}")
     base = {"n": n, "epsilon": epsilon}
     if eta is not None:
         base["eta"] = eta

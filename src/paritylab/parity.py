@@ -1,10 +1,10 @@
 """Uniformity testers that see only the parity trace of a sample.
 
 The trace is stitched into a necklace and both symbol classes are tested
-symmetrically.  For moderate distance parameters the tester thresholds
-the run-length collision statistic of each class; for tiny distances it
-falls back to coupon collection plus a standard histogram tester on the
-recovered multiplicities.
+symmetrically.  `PTTesterConfig.mode` names the branch: the run-length
+branch ("large_eps", the default) thresholds the run-length collision
+statistic of each class; the coverage branch ("small_eps") runs coupon
+collection plus a histogram tester on the recovered multiplicities.
 
 A one-run is a bucket of odd necklace slots, joined where the even slot
 between them is empty (zero-runs likewise): a confused collector with
@@ -32,8 +32,10 @@ __all__ = [
     "test_uniformity_pt_large",
     "test_uniformity_pt_small",
     "test_uniformity_pt",
-    "routes_to_large",
 ]
+
+# the branches `PTTesterConfig.mode` can name, the default first
+_PT_MODES = ("large_eps", "small_eps")
 
 
 @dataclass(frozen=True)
@@ -41,25 +43,25 @@ class PTTesterConfig:
     """Free constants of the parity-trace testers.
 
     `gamma` controls the symbol-balance rejection, `alpha` the run-length
-    cap, `beta` the collision margin, `K` the boundary between the large
-    and small distance regimes, and `c_m` and `c_small` the sample-size
-    formulas.  The defaults are the calibrated values that the acceptance
-    suite checks.
+    cap, `beta` the collision margin, and `c_m` and `c_small` the
+    sample-size formulas; each must be finite and positive.  `mode` names
+    the branch `test_uniformity_pt` runs: "large_eps", the run-length
+    branch, or "small_eps", the coverage-and-histogram branch.  The
+    defaults are the calibrated values that the acceptance suite checks.
     """
 
     alpha: float = 20.0
     beta: float = 0.0025
     gamma: float = 3.3
-    K: float = 2.0
     c_m: float = 5.0
     c_small: float = 4.0
-    mode: str = "auto"
+    mode: str = _PT_MODES[0]
 
     def __post_init__(self):
-        if self.K <= 1:
-            raise ValueError("K must exceed 1")
-        if self.mode not in ("auto", "large_eps", "small_eps"):
-            raise ValueError("mode must be auto, large_eps or small_eps")
+        for name in ("alpha", "beta", "gamma", "c_m", "c_small"):
+            _check_positive(getattr(self, name), name)
+        if self.mode not in _PT_MODES:
+            raise ValueError(f"mode must be one of {', '.join(_PT_MODES)}, got {self.mode!r}")
 
     def sample_size_large(self, n: int, epsilon: float) -> int:
         """m = c_m * (n/eps)^(4/5) * log^(7/5) n."""
@@ -74,11 +76,6 @@ class PTTesterConfig:
         d = 2 * n
         floor = 2 * d * math.log(100 * d)
         return int(math.ceil(max(floor, self.c_small * math.sqrt(d) / epsilon**2)))
-
-
-def routes_to_large(n: int, epsilon: float, config: PTTesterConfig) -> bool:
-    """Pure regime decision: large iff eps >= K * log^3(n) / n^(1/4)."""
-    return epsilon >= config.K * math.log(n) ** 3 / n**0.25
 
 
 def phi_mu(n: int, m: float) -> np.ndarray:
@@ -149,14 +146,13 @@ def _pt_large_rows(runs, n: int, epsilon: float, config: PTTesterConfig, m: floa
     run and change no statistic.  Returns (first, stats, threshold_Y,
     threshold_run): first[i] indexes _PT_LARGE_STEPS at the first failing
     check of row i, and stats[j, i] is statistic _PT_LARGE_STATS[j] of row
-    i.  A sample size `m` that is not finite and positive, or an epsilon
-    outside (0,2], raises ValueError.
+    i.  An epsilon outside (0,2], an `n` that is not an integer >= 1, or a
+    sample size `m` that is not finite and positive raises ValueError.
     """
     _check_epsilon(epsilon)
-    _check_positive(m, "m")
     x = np.asarray(runs, dtype=np.float64)
     max_run, y, threshold_run, threshold_y = _collision_check(
-        x, m, n, 2 * n, math.exp(-m / (2 * n)), True, config.alpha,
+        x, m, n, 2 * n, _necklace_keep(n, m), True, config.alpha,
         config.beta * epsilon**2 * m**2 / n**2)
     n_sym = x.sum(axis=2)
     # rows 0-5 hold the checks in order as (class, check); row 6, "none", always holds
@@ -196,8 +192,8 @@ def test_uniformity_pt_large(trace, n: int, epsilon: float,
     failing check.
 
     `m` defaults to the trace length; a sample size that is not finite and
-    positive (an empty trace, for instance), or an epsilon outside (0,2],
-    raises ValueError.
+    positive (an empty trace, for instance), an `n` that is not an integer
+    >= 1, or an epsilon outside (0,2], raises ValueError.
     """
     runs = trace if isinstance(trace, RunLengthTrace) else circular_runs(trace)
     padded = np.zeros((2, 1, max(runs.one_runs.size, runs.zero_runs.size)))
@@ -260,8 +256,8 @@ def test_uniformity_pt_small(trace, n: int, epsilon: float,
 def test_uniformity_pt(trace, n: int, epsilon: float,
                        config: PTTesterConfig | None = None,
                        m: float | None = None) -> Verdict:
-    """Dispatch between the two regimes by comparing eps to K*log^3(n)/n^(1/4)."""
+    """Run the branch that `config.mode` names, the run-length branch by default."""
     config = config or PTTesterConfig()
-    if config.mode == "large_eps" or (config.mode == "auto" and routes_to_large(n, epsilon, config)):
+    if config.mode == "large_eps":
         return test_uniformity_pt_large(trace, n, epsilon, config, m)
     return test_uniformity_pt_small(trace, n, epsilon, config)

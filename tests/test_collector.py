@@ -357,6 +357,14 @@ def test_tester_rejects_m_that_is_not_finite_and_positive(m):
         cc_verdict(np.ones(64), cfg, 64, m, override_range_check=True)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("field", ["alpha", "beta", "L", "c"])
+def test_config_constants_must_be_finite_and_positive(field, value):
+    # beta=nan accepted 50 of 50 interval-far trials, and c=-1 ran at m=1
+    with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+        CCTesterConfig(epsilon=0.3, eta=0.5, **{field: value})
+
+
 def test_tester_rejects_a_graph_of_another_size():
     cfg = CCTesterConfig(epsilon=0.3, eta=0.5)
     with pytest.raises(ValueError, match="sizes differ"):

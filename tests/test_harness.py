@@ -208,6 +208,7 @@ def test_cli_sample_and_test_pipeline(tmp_path):
     assert out.returncode == 0
     verdict = json.loads(out.stdout)
     assert set(verdict) == {"accept", "step", "statistics", "params"}
+    assert verdict["params"]["branch"] == "large_eps"  # no --mode: the run-length branch
 
 
 def test_cli_dist_schema(tmp_path):
@@ -282,6 +283,65 @@ def test_cli_json_input_that_misses_a_key_exits_2(tmp_path, command, payload, me
     assert out.returncode == 2
     assert out.stderr.startswith("error:") and message in out.stderr
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("spec,message", [
+    ({"tester": "pt_small", "grid": 5}, "grid must be a non-empty list"),
+    ({"tester": "pt_small", "grid": [5]}, "grid must be a non-empty list"),
+    ({"tester": "pt_large", "grid": [{"n": 32, "epsilon": 0.5, "m": 300, "beta": math.nan}]},
+     "beta must be finite and positive"),
+    ({"tester": "cc", "grid": [{"n": 64, "epsilon": 0.3, "eta": 0.5, "beta": math.nan}]},
+     "beta must be finite and positive"),
+    ({"tester": "cc", "grid": [{"n": 64, "epsilon": 0.3, "eta": 0.5, "c": -1}]},
+     "c must be finite and positive"),
+    ({"tester": "pt_small", "grid": [{"n": 8, "epsilon": 0.3, "c": "4"}]},
+     "c_small must be finite and positive"),
+], ids=["grid_5", "grid_of_5", "pt_large_beta_nan", "cc_beta_nan", "cc_c_negative",
+        "pt_small_c_string"])
+def test_cli_experiment_bad_grid_or_constant_exits_2(tmp_path, capsys, spec, message):
+    # the grids and the string c exited 1 with a TypeError traceback; beta=NaN accepted
+    # every far trial, and c=-1 ran at m=1
+    sfile = tmp_path / "spec.json"
+    sfile.write_text(json.dumps({"schema": 1, "trials": 2, "seed": 1, **spec}))
+    assert main(["experiment", str(sfile)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and message in out.err
+
+
+def test_calibration_checks_target_error_before_probing(monkeypatch, capsys):
+    # --target-error nan ran every probe up to c=64 and then failed with the whole audit
+    from paritylab import harness
+
+    monkeypatch.setattr(harness, "_rates", lambda *args: pytest.fail("probed"))
+    for value in (math.nan, 1.0, -0.1):
+        with pytest.raises(ValueError, match="target_error must lie in"):
+            calibrate_constants("cc", 64, 0.3, eta=0.5, target_error=value, trials=2)
+    assert main(["calibrate", "cc", "--n", "64", "--eps", "0.3", "--eta", "0.5",
+                 "--target-error", "nan", "--trials", "2"]) == 2
+    assert "target_error must lie in" in capsys.readouterr().err
+
+
+def test_cli_pt_modes_are_the_config_modes(capsys):
+    from paritylab.parity import _PT_MODES
+
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    mode = next(a for a in sub.choices["test"]._actions if a.dest == "mode")
+    assert mode.choices is _PT_MODES and mode.default == PTTesterConfig().mode
+    assert main(["test", "pt", "--n", "8", "--eps", "0.3", "--mode", "auto"]) == 1
+    assert "invalid choice: 'auto'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["0", "-4"])
+@pytest.mark.parametrize("mode", [[], ["--mode", "large_eps"]], ids=["default", "large_eps"])
+def test_cli_pt_n_that_is_not_positive_exits_2(tmp_path, capsys, n, mode):
+    # --mode large_eps --n 0 exited 1 with a ZeroDivisionError traceback, and --n -4
+    # reported a math domain error
+    tfile = tmp_path / "t.txt"
+    tfile.write_text("1010")
+    assert main(["test", "pt", "--trace", str(tfile), "--n", n, "--eps", "0.3", *mode]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "n must be an integer" in out.err
 
 
 @pytest.mark.parametrize("m", ["nan", "inf", "0", "-5"])
