@@ -118,15 +118,18 @@ def _check_epsilon(epsilon) -> None:
 
 
 def _check_positive(value: float, name: str) -> None:
-    """Raise ValueError unless `value` is a finite positive real; NaN fails the comparison."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+    """Raise ValueError unless `value` is a finite positive real that is not a bool;
+    NaN fails the comparison."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)
+                                       and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def _check_eta(eta: float) -> None:
-    """Raise ValueError unless the edge weight lies in (0,1]; NaN fails the comparison."""
-    if not (0 < eta <= 1):
-        raise ValueError("eta must lie in (0,1]")
+    """Raise ValueError unless the edge weight is a real in (0,1] that is not a bool;
+    NaN fails the comparison."""
+    if isinstance(eta, bool) or not (isinstance(eta, numbers.Real) and 0 < eta <= 1):
+        raise ValueError(f"eta must lie in (0,1], got {eta!r}")
 
 
 def _keep_probs(graph: BaseGraph, eta: float) -> np.ndarray:

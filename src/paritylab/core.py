@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -95,52 +94,47 @@ class PartialDistributionPair:
 
 @dataclass(frozen=True)
 class SampleMultiset:
-    """Multiplicity of every domain element in a sample; counts[j] is element j+1."""
+    """Multiplicity of every domain element in a sample; counts[j] is element j+1.
+
+    This is the one check of a multiplicity vector: it must be 1-d, of bool,
+    integer or float dtype, and its entries finite, non-negative whole
+    numbers, or ValueError is raised.  The counts are stored as int64.
+    """
 
     counts: np.ndarray
     total: int = field(init=False)
 
     def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.int64)
+        c = np.asarray(self.counts)
+        if c.ndim != 1 or c.dtype.kind not in "biuf" or (
+                c.dtype.kind == "f" and not np.all(np.isfinite(c) & (np.trunc(c) == c))):
+            raise ValueError("counts must be a 1-d vector of finite whole numbers")
+        c = c.astype(np.int64, copy=False)
+        if c.size and c.min() < 0:
+            raise ValueError("counts must be non-negative")
         object.__setattr__(self, "counts", c)
-        if np.any(c < 0):
-            raise ValueError("negative multiplicity")
         object.__setattr__(self, "total", int(c.sum()))
 
 
 @dataclass(frozen=True)
 class RunLengthTrace:
-    """Circular run-length vectors of a parity trace, and the trace length.
+    """Circular run-length vectors of the parity trace `bits`.
 
-    `source` is what the trace was reduced from: the trace string itself
-    (`circular_runs`) or the multiplicity vector of the sample
-    (`runs_from_counts`), held without a copy.  `length` is the number of
-    symbols, Σ one_runs + Σ zero_runs, checked against the source on
-    construction.  The testers read only the runs and the length; `bits`
-    returns the trace string, built from the counts on first read.  The
-    public testers build one from a string, and perfbench's rebuilds of
-    the trials one from counts, through `runs_from_counts`.
+    The testers read the runs and `length`, the number of symbols; the runs
+    must add up to it.
     """
 
     one_runs: np.ndarray
     zero_runs: np.ndarray
-    source: str | np.ndarray = field(repr=False)
-    length: int = field(init=False)
+    bits: str = field(repr=False)
 
     def __post_init__(self):
-        if isinstance(self.source, str):
-            length = len(self.source)
-        else:
-            length = int(self.source.sum())
-        if int(self.one_runs.sum() + self.zero_runs.sum()) != length:
+        if int(self.one_runs.sum() + self.zero_runs.sum()) != len(self.bits):
             raise ValueError("run lengths do not add up to the trace length")
-        object.__setattr__(self, "length", length)
 
-    @cached_property
-    def bits(self) -> str:
-        if isinstance(self.source, str):
-            return self.source
-        return parity_trace(SampleMultiset(self.source))
+    @property
+    def length(self) -> int:
+        return len(self.bits)
 
 
 def parity_trace(sample: SampleMultiset) -> str:
@@ -196,35 +190,18 @@ def circular_runs(trace: str) -> RunLengthTrace:
     return RunLengthTrace(
         one_runs=lengths[values == 1],
         zero_runs=lengths[values == 0],
-        source=trace,
+        bits=trace,
     )
 
 
 def runs_from_counts(counts: np.ndarray) -> RunLengthTrace:
-    """Circular runs straight from a multiplicity vector, skipping the string.
-
-    Equivalent to ``circular_runs(parity_trace(SampleMultiset(counts)))`` but
-    O(domain) regardless of the sample size: the record keeps `counts` as its
-    source and builds the trace string only if `bits` is read.  The runs are
-    the nonzero entries of `necklace_sums` on the one row `counts`.  Counts
-    that are not a 1-d vector of even length, or whose entries are not
-    finite, non-negative whole numbers, raise ValueError.  Only perfbench's
-    rebuild of the `pt_large` trial and the tests call it.
-    """
+    """``circular_runs(parity_trace(SampleMultiset(counts)))``; counts that are not
+    a 1-d vector of even length raise ValueError.  Only perfbench's rebuild of the
+    `pt_large` trial and the tests call it."""
     counts = np.asarray(counts)
     if counts.ndim != 1 or counts.size % 2:
         raise ValueError(f"counts must be a 1-d vector of even length 2n, got shape {counts.shape}")
-    kind = counts.dtype.kind
-    if kind not in "biuf" or (kind == "f" and not np.all(np.isfinite(counts)
-                                                         & (np.trunc(counts) == counts))):
-        raise ValueError("counts must be finite whole numbers")
-    counts = counts.astype(np.int64, copy=False)
-    if counts.size and counts.min() < 0:
-        raise ValueError("counts must be non-negative")
-    ones, zeros = necklace_sums(counts[None, :])[:, 0]
-    return RunLengthTrace(one_runs=ones[ones > 0].astype(np.int64),
-                          zero_runs=zeros[zeros > 0].astype(np.int64),
-                          source=counts)
+    return circular_runs(parity_trace(SampleMultiset(counts)))
 
 
 def necklace_sums(counts: np.ndarray) -> np.ndarray:

@@ -231,13 +231,15 @@ def _setup(tester: str, point: dict):
     The config is the tester's defaults overridden by the fields the point
     names, and "c" sets its sample-size constant; m is the point's "m", or
     the tester's formula when it has none.  A config field without a
-    default that the point does not name, an "epsilon" outside (0,2], or an
-    "m" that is not a positive finite number, raises ValueError; so do a
-    bool "m", and for pt_small, whose m is a count of draws, an "m" that is
-    not a whole number.
+    default that the point does not name, a "mode" (the tester names the
+    parity-trace branch), an "epsilon" outside (0,2], or an "m" that is not
+    a positive finite number, raises ValueError; so do a bool "m", and for
+    pt_small, whose m is a count of draws, an "m" that is not a whole number.
     """
     cls, c_field, formula, _ = _TESTERS[tester]
     kwargs = {name: point[name] for name in cls.__dataclass_fields__ if name in point}
+    if "mode" in kwargs:
+        raise ValueError(f"grid point {point} names a 'mode'; the {tester} tester is the branch")
     if "c" in point:
         kwargs[c_field] = point["c"]
     for field in fields(cls):

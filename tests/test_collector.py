@@ -357,12 +357,19 @@ def test_tester_rejects_m_that_is_not_finite_and_positive(m):
         cc_verdict(np.ones(64), cfg, 64, m, override_range_check=True)
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0, True])
 @pytest.mark.parametrize("field", ["alpha", "beta", "L", "c"])
 def test_config_constants_must_be_finite_and_positive(field, value):
-    # beta=nan accepted 50 of 50 interval-far trials, and c=-1 ran at m=1
+    # beta=nan accepted 50 of 50 interval-far trials, c=-1 ran at m=1, and c=True at 1.0
     with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
         CCTesterConfig(epsilon=0.3, eta=0.5, **{field: value})
+
+
+@pytest.mark.parametrize("eta", [True, "0.5", None])
+def test_config_eta_must_be_a_real_in_unit_interval(eta):
+    # eta=True ran at 1.0, and "0.5" and None raised TypeError in the comparison
+    with pytest.raises(ValueError, match=r"eta must lie in \(0,1\]"):
+        CCTesterConfig(epsilon=0.3, eta=eta)
 
 
 def test_tester_rejects_a_graph_of_another_size():

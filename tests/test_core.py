@@ -7,6 +7,7 @@ from paritylab import _kernels
 from paritylab.core import (
     PartialDistribution,
     PartialDistributionPair,
+    RunLengthTrace,
     SampleMultiset,
     circular_runs,
     necklace_sums,
@@ -166,7 +167,27 @@ def test_runs_from_counts_rejects_invalid_counts(counts, message):
 def test_runs_from_counts_takes_whole_floats_as_counts():
     direct = runs_from_counts(np.array([3.0, 0.0, 2.0, 2.0]))
     assert direct.one_runs.tolist() == [5] and direct.zero_runs.tolist() == [2]
-    assert direct.source.dtype == np.int64
+    assert direct.bits == "1111100"
+
+
+@pytest.mark.parametrize("counts, message", [
+    ([3.5, 1], "whole numbers"),  # was truncated to [3, 1]
+    ([np.inf, 1], "whole numbers"),  # was "negative multiplicity" after a cast warning
+    ([np.nan, 1], "whole numbers"),
+    ([[1, 2], [3, 4]], "1-d vector"),
+    (["3", "1"], "whole numbers"),  # was cast to [3, 1]
+], ids=["half", "inf", "nan", "2d", "strings"])
+def test_sample_multiset_rejects_what_is_not_a_count_vector(counts, message):
+    with pytest.raises(ValueError, match=message):
+        SampleMultiset(np.array(counts))
+
+
+def test_run_length_trace_runs_must_add_up_to_its_bits():
+    ones, zeros = np.array([2]), np.array([1])
+    assert RunLengthTrace(ones, zeros, "110").length == 3
+    for bits in ("11", "1100"):
+        with pytest.raises(ValueError, match="do not add up"):
+            RunLengthTrace(ones, zeros, bits)
 
 
 def labels_necklace_sums(counts: np.ndarray) -> np.ndarray:

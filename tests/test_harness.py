@@ -158,7 +158,7 @@ def test_pt_large_trial_never_builds_the_trace(monkeypatch):
 
     monkeypatch.setattr(paritylab.core, "parity_trace", no_trace)
     monkeypatch.setattr(paritylab.core, "parse_bits", no_trace)
-    with pytest.raises(RuntimeError):  # the patch reaches RunLengthTrace.bits
+    with pytest.raises(RuntimeError):  # the patch reaches the parity_trace call of runs_from_counts
         runs_from_counts(np.ones(8, dtype=np.int64)).bits
     with pytest.raises(RuntimeError):  # and the parse of linear_runs
         linear_runs("10")
@@ -296,11 +296,23 @@ def test_cli_json_input_that_misses_a_key_exits_2(tmp_path, command, payload, me
      "c must be finite and positive"),
     ({"tester": "pt_small", "grid": [{"n": 8, "epsilon": 0.3, "c": "4"}]},
      "c_small must be finite and positive"),
+    ({"tester": "pt_large", "grid": [{"n": 32, "epsilon": 0.5, "m": 300, "beta": True}]},
+     "beta must be finite and positive"),
+    ({"tester": "cc", "grid": [{"n": 64, "epsilon": 0.3, "eta": 0.5, "c": True}]},
+     "c must be finite and positive"),
+    ({"tester": "cc", "grid": [{"n": 64, "epsilon": 0.3, "eta": True}]}, "eta must lie in (0,1]"),
+    ({"tester": "cc", "grid": [{"n": 64, "epsilon": 0.3, "eta": "0.5"}]}, "eta must lie in (0,1]"),
+    ({"tester": "pt_large", "grid": [{"n": 32, "epsilon": 0.5, "m": 300, "mode": "small_eps"}]},
+     "names a 'mode'"),
+    ({"tester": "pt_small", "grid": [{"n": 8, "epsilon": 0.3, "mode": "small_eps"}]},
+     "names a 'mode'"),
 ], ids=["grid_5", "grid_of_5", "pt_large_beta_nan", "cc_beta_nan", "cc_c_negative",
-        "pt_small_c_string"])
+        "pt_small_c_string", "pt_large_beta_true", "cc_c_true", "cc_eta_true", "cc_eta_string",
+        "pt_large_mode", "pt_small_mode"])
 def test_cli_experiment_bad_grid_or_constant_exits_2(tmp_path, capsys, spec, message):
-    # the grids and the string c exited 1 with a TypeError traceback; beta=NaN accepted
-    # every far trial, and c=-1 ran at m=1
+    # the grids and the string c and eta exited 1 with a TypeError traceback; beta=NaN
+    # accepted every far trial, c=-1 ran at m=1, the bools ran at 1.0, and the mode
+    # ran the run-length checks under a small_eps CSV column
     sfile = tmp_path / "spec.json"
     sfile.write_text(json.dumps({"schema": 1, "trials": 2, "seed": 1, **spec}))
     assert main(["experiment", str(sfile)]) == 2

@@ -192,10 +192,11 @@ def test_mode_names_one_of_the_two_branches():
     assert not hasattr(PTTesterConfig(), "K")
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0, True])
 @pytest.mark.parametrize("field", ["alpha", "beta", "gamma", "c_m", "c_small"])
 def test_config_constants_must_be_finite_and_positive(field, value):
-    # beta=nan accepted 50 of 50 paired-far trials that the default beta rejects
+    # beta=nan accepted 50 of 50 paired-far trials that the default beta rejects, and
+    # beta=True ran at 1.0
     with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
         PTTesterConfig(**{field: value})
 

@@ -1,4 +1,5 @@
-"""Every paritylab name that perfbench/*.py uses still resolves.
+"""Every paritylab name that perfbench/*.py uses still resolves, and the
+records it returns still carry the attributes perfbench reads.
 
 perfbench imports the library by name; a deletion or rename that it
 depends on would otherwise surface only when the benchmark runs.
@@ -9,7 +10,14 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from paritylab import harness
+from paritylab.core import runs_from_counts, sample_exact, sample_poissonized, uniform_pair
+from paritylab.editdist import psi, uniform_density
+from paritylab.harness import ExperimentSpec, calibrate_constants, estimate_acceptance
+from paritylab.parity import test_uniformity_pt_large as pt_large
 
 PERFBENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
 KERNEL_NAMES = {"_kernels", "kernels"}  # names perfbench binds to paritylab._kernels
@@ -62,3 +70,46 @@ def test_perfbench_names_resolve(path):
             continue
         unknown = sorted(set(keywords) - set(params))
         assert not unknown, f"{path.name} calls {local} with unknown keywords {unknown}"
+
+
+# The attributes perfbench/families.py reads off each record a paritylab call returns.
+
+def _reads_runs(monkeypatch):
+    assert isinstance(runs_from_counts(np.array([2, 0, 1, 3])).bits, str)
+
+
+def _reads_samples(monkeypatch):
+    pair = uniform_pair(4)
+    for sample in (sample_exact(pair, 10, 1), sample_poissonized(pair, 10.0, 1)):
+        assert sample.counts.shape == (8,)
+
+
+def _reads_psi(monkeypatch):
+    assert psi(uniform_density(4), 16).bits == "1111000011110000"
+
+
+def _reads_verdict(monkeypatch):
+    verdict = pt_large("10" * 64, 64, 0.5)
+    assert isinstance(verdict.accept, bool) and isinstance(verdict.fired_step, str)
+    assert isinstance(verdict.statistics, dict) and isinstance(verdict.to_json(), str)
+
+
+def _reads_curve(monkeypatch):
+    curve = estimate_acceptance(ExperimentSpec("pt_small", [{"n": 4, "epsilon": 0.5}], 2, 1))
+    assert curve.columns[-4:] == ["accept_rate", "ci_low", "ci_high", "mean_statistic"]
+    assert len(curve.rows) == 1 and len(curve.rows[0][-4:-1]) == 3
+
+
+def _reads_calibration(monkeypatch):
+    monkeypatch.setattr(harness, "_rates", lambda *args: (1.0, 1.0))
+    result = calibrate_constants("cc", 64, 0.3, eta=0.5, trials=2)
+    chosen = [a for a in result["audit"] if a["c"] == result["c"]]
+    assert chosen[-1]["yes_accept"] >= 1 - result["target_error"]
+    assert chosen[-1]["no_reject"] >= 1 - result["target_error"]
+
+
+@pytest.mark.parametrize("read", [_reads_runs, _reads_samples, _reads_psi, _reads_verdict,
+                                  _reads_curve, _reads_calibration],
+                         ids=lambda f: f.__name__.removeprefix("_reads_"))
+def test_perfbench_record_attributes(read, monkeypatch):
+    read(monkeypatch)
