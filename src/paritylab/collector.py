@@ -17,8 +17,8 @@ and `_collision_check` checks cc and, by the necklace reduction, each
 parity-trace symbol class.  `phi_from_keep_probs` is the one builder of an
 expected join matrix: `phi_expected` (constant eta) and `parity.phi_mu`
 (constant keep exp(-m/2n) on the necklace) are it at a constant keep
-vector; `_cycle_join_product` multiplies by the cycle's matrix in O(n)
-without building it.  Both multiply keeps directly, with no logs, so keeps
+vector; `_join_product` multiplies by the matrix in O(n) without
+building it.  Both multiply keeps directly, with no logs, so keeps
 that are 0, 1 or subnormal stay exact; `_arc_ends` forms the arcs through
 vertex 0 for both.  The samplers and oracles run at a constant eta.
 """
@@ -26,12 +26,12 @@ vertex 0 for both.  The samplers and oracles run at a constant eta.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
+from .core import _check_epsilon, _check_eta, _check_positive, _check_size
 from .rng import generator
 from .verdict import Verdict
 
@@ -59,8 +59,7 @@ class BaseGraph:
     def __post_init__(self):
         if self.kind not in ("path", "cycle"):
             raise ValueError("kind must be 'path' or 'cycle'")
-        if self.n < 2:
-            raise ValueError("need at least two vertices")
+        _check_size(self.n, "n", 2)
 
     @property
     def is_cycle(self) -> bool:
@@ -105,31 +104,6 @@ class CCTesterConfig:
     def eta_in_range(self, n: int) -> bool:
         ln = math.log(n)
         return self.eta >= self.L * ln**0.8 / (n**0.2 * self.epsilon**0.8)
-
-
-def _check_epsilon(epsilon) -> None:
-    """Raise ValueError unless the distance parameter is a real number in (0,2].
-
-    Every tester takes its epsilon through this check; the comparison
-    rejects NaN and infinities, and a bool is not a distance.
-    """
-    if isinstance(epsilon, bool) or not (isinstance(epsilon, numbers.Real) and 0 < epsilon <= 2):
-        raise ValueError(f"epsilon must be a finite real number in (0,2], got {epsilon!r}")
-
-
-def _check_positive(value: float, name: str) -> None:
-    """Raise ValueError unless `value` is a finite positive real that is not a bool;
-    NaN fails the comparison."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)
-                                       and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
-
-
-def _check_eta(eta: float) -> None:
-    """Raise ValueError unless the edge weight is a real in (0,1] that is not a bool;
-    NaN fails the comparison."""
-    if isinstance(eta, bool) or not (isinstance(eta, numbers.Real) and 0 < eta <= 1):
-        raise ValueError(f"eta must lie in (0,1], got {eta!r}")
 
 
 def _keep_probs(graph: BaseGraph, eta: float) -> np.ndarray:
@@ -253,15 +227,15 @@ def phi_from_keep_probs(keep: np.ndarray, kind: str) -> np.ndarray:
     # the comparisons reject NaN and infinities
     if keep.ndim != 1 or keep.size == 0 or not np.all((keep >= 0) & (keep <= 1)):
         raise ValueError("keep probabilities must be a non-empty vector of numbers in [0,1]")
-    cycle = kind == "cycle"
-    n = keep.size + (not cycle)
+    # the path is the cycle whose wrap edge keeps 0, so its far arcs add exactly 0
+    keep = keep if kind == "cycle" else np.append(keep, 0.0)
+    n = keep.size
     pre, suf = _arc_ends(keep)
     phi = np.zeros((n, n))
     for i in range(n - 1):
         row = phi[i, i + 1:]
         np.multiply.accumulate(keep[i : n - 1], out=row)
-        if cycle:
-            row += pre[i] * suf[i + 1:] * (1.0 - row)
+        row += pre[i] * suf[i + 1:] * (1.0 - row)
     # mirror the upper triangle in blocks of rows, not through a copy of all of phi.T
     for s in range(0, n, _MIRROR_ROWS):
         e = s + _MIRROR_ROWS
@@ -272,8 +246,8 @@ def phi_from_keep_probs(keep: np.ndarray, kind: str) -> np.ndarray:
     return phi
 
 
-def _cycle_join_product(keep: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """phi_from_keep_probs(keep, "cycle") @ v in O(n), without the matrix.
+def _join_product(keep: np.ndarray, v: np.ndarray, kind: str) -> np.ndarray:
+    """phi_from_keep_probs(keep, kind) @ v in O(n), without the matrix.
 
     (phi v)_i = v_i + F_i + B_i - K * (sum(v) - v_i): F_i and B_i sum v_j
     (j != i) times the keeps along the forward and the backward arc from i
@@ -283,7 +257,10 @@ def _cycle_join_product(keep: np.ndarray, v: np.ndarray) -> np.ndarray:
     j < i, has the keeps suf[i] * pre[j] (`_arc_ends`); B_i is the mirror
     image.  Every product is of keeps in [0, 1], so nothing overflows; the
     factored form e^{c_i} * sum e^{-c_j} would, once the keeps underflow.
+    The path is the cycle whose wrap edge n-1 keeps 0.
     """
+    if kind == "path":
+        keep = np.append(keep, 0.0)
     n = keep.size
     k, x = keep.tolist(), v.tolist()
     fwd, bwd = [0.0] * n, [0.0] * n
@@ -306,8 +283,7 @@ def _cycle_join_product(keep: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def phi_empirical(graph: BaseGraph, eta: float, trials: int, seed) -> np.ndarray:
     """Monte Carlo average of the realized join matrix, in chunks of n^2-cell trials."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    _check_size(trials, "trials", 1)
     rng = generator(seed)
     n = graph.n
     keep_p = _keep_probs(graph, eta)

@@ -11,6 +11,8 @@ the testers consume.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +42,51 @@ __all__ = [
 _MASS_TOL = 1e-9
 
 
+def _check_epsilon(epsilon) -> None:
+    """Raise ValueError unless the distance parameter is a real number in (0,2].
+
+    Every tester takes its epsilon through this check; the comparison
+    rejects NaN and infinities, and a bool is not a distance.
+    """
+    if isinstance(epsilon, bool) or not (isinstance(epsilon, numbers.Real) and 0 < epsilon <= 2):
+        raise ValueError(f"epsilon must be a finite real number in (0,2], got {epsilon!r}")
+
+
+def _check_positive(value: float, name: str) -> None:
+    """Raise ValueError unless `value` is a finite positive real that is not a bool;
+    NaN fails the comparison."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)
+                                       and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _check_eta(eta: float) -> None:
+    """Raise ValueError unless the edge weight is a real in (0,1] that is not a bool;
+    NaN fails the comparison."""
+    if isinstance(eta, bool) or not (isinstance(eta, numbers.Real) and 0 < eta <= 1):
+        raise ValueError(f"eta must lie in (0,1], got {eta!r}")
+
+
+def _check_size(value, name: str, low: int) -> None:
+    """Raise ValueError unless `value` is an integer >= low that is not a bool."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _weights(x, name: str, size: int | None = None) -> np.ndarray:
+    """The weights of `x` as float64, or ValueError unless they are a non-empty
+    vector of finite, non-negative values (of length `size`, if given)."""
+    w = np.asarray(getattr(x, "weights", x), dtype=np.float64)
+    if w.ndim != 1 or w.size == 0:
+        raise ValueError(f"{name} must be a non-empty vector")
+    if size is not None and w.size != size:
+        raise ValueError(f"{name} must have length {size}, got {w.size}")
+    # max and min propagate NaN, so these reductions catch NaN, +-inf and negatives
+    if not (math.isfinite(w.max()) and w.min() >= 0):
+        raise ValueError(f"{name} must be finite and non-negative")
+    return w
+
+
 @dataclass(frozen=True)
 class PartialDistribution:
     """Non-negative weights over Z_n with total mass at most 1."""
@@ -47,12 +94,8 @@ class PartialDistribution:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
+        w = _weights(self.weights, "weights")
         object.__setattr__(self, "weights", w)
-        if w.ndim != 1 or w.size == 0:
-            raise ValueError("weights must be a non-empty 1-d vector")
-        if not np.isfinite(w).all() or w.min() < 0:
-            raise ValueError("weights must be finite and non-negative")
         if w.sum() > 1 + 1e-12:
             raise ValueError(f"total mass {w.sum()} exceeds 1")
 
@@ -252,14 +295,13 @@ def split_sample_k(pair: PartialDistributionPair, m: float, k: int, seed) -> lis
     uniformly random output; every output is then distributed as an
     independent parity trace of size Poisson(m).
     """
+    _check_size(k, "k", 1)
     return _split_poisson(k * m, pair.interleaved(), k, seed)
 
 
 def _split_poisson(rate: float, mass: np.ndarray, k: int, seed) -> list[str]:
-    """k parity traces from one Poisson(rate * mass) draw, each sample point routed
-    to a uniformly random output, so output i has counts Poisson(rate * mass / k)."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    """k parity traces from one Poisson(rate * mass) draw, each point routed to a
+    uniformly random output, so output i has counts Poisson(rate * mass / k); callers check k."""
     rng = generator(seed)
     parent = rng.poisson(rate * mass)
     nz = np.flatnonzero(parent)

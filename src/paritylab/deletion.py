@@ -18,9 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
-from .collector import _check_epsilon
-from .core import (PartialDistribution, PartialDistributionPair, _ascii_codes, _split_poisson,
-                   parse_bits)
+from .core import (PartialDistribution, PartialDistributionPair, _ascii_codes, _check_epsilon,
+                   _check_size, _split_poisson, parse_bits)
 from .editdist import DensitySequence, dist_to_nblock, psi, psi_inv
 from .parity import PTTesterConfig, test_uniformity_pt
 from .rng import generator
@@ -62,8 +61,7 @@ class TraceTestSpec:
             "uniform_n_block_promised",
         ):
             raise ValueError("unknown property")
-        if self.n_blocks < 1:
-            raise ValueError("need n_blocks >= 1")
+        _check_size(self.n_blocks, "n_blocks", 1)
         if self.property_name.startswith("uniform"):
             if self.n_chars < 1 or self.n_chars % self.n_blocks != 0:
                 raise ValueError("uniform block properties need n_chars >= 1, n_blocks | n_chars")
@@ -72,12 +70,14 @@ class TraceTestSpec:
 
 
 def uniform_block_string(n_chars: int, n_blocks: int, first: int = 1) -> str:
-    """The uniform n-block string of length n_chars starting with `first`: psi
-    of the uniform density on n_blocks values, after an empty 1-block for 0."""
+    """The uniform n-block string of length n_chars starting with `first`, 0 or 1:
+    psi of the uniform density on n_blocks values, after an empty 1-block for 0."""
     if n_blocks < 1 or n_chars % n_blocks:
         raise ValueError("need a block count n_blocks >= 1 that divides the length")
-    counts = np.ones(n_blocks + 1 - first % 2, dtype=np.int64)
-    counts[: 1 - first % 2] = 0
+    if first not in (0, 1):
+        raise ValueError(f"first must be 0 or 1, got {first!r}")
+    counts = np.ones(n_blocks + 1 - first, dtype=np.int64)
+    counts[: 1 - first] = 0
     return psi(DensitySequence.from_counts(counts, n_blocks), n_chars).bits
 
 
@@ -202,8 +202,7 @@ def split_traces(pi: DensitySequence, n_chars: int, k: int, rho: float,
     rho < 1/(20*sqrt(k*n_chars)); the outputs are then within total
     variation 1/100 of k independent rho-retention traces of psi(pi).
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    _check_size(k, "k", 1)
     if not rho < 1.0 / (20.0 * math.sqrt(k * n_chars)):
         raise ValueError("rho too large for faithful splitting")
     lam = rho / (1.0 - rho)
@@ -267,8 +266,7 @@ def learn_k_alternating(sample, k: int) -> LearnedAlternating:
     the fewest disagreements; ties prefer fewer alternations.  Each cut
     sits midway between the positions of the two points it separates.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    _check_size(k, "k", 0)
     pairs = list(sample)
     positions = np.asarray([p for p, _ in pairs], dtype=np.float64)
     if np.any(np.diff(positions) < 0):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import SampleMultiset, linear_runs, parity_trace, parse_bits
+from .core import SampleMultiset, _check_size, _weights, linear_runs, parity_trace, parse_bits
 
 __all__ = [
     "DensitySequence",
@@ -49,12 +49,8 @@ class DensitySequence:
     denominator: int | None = None
 
     def __post_init__(self):
-        pi = np.asarray(self.pi, dtype=np.float64)
+        pi = _weights(self.pi, "densities")
         object.__setattr__(self, "pi", pi)
-        if pi.ndim != 1 or pi.size == 0:
-            raise ValueError("need a non-empty density vector")
-        if np.any(pi < 0):
-            raise ValueError("negative density")
         if abs(pi.sum() - 1.0) > 1e-12:
             raise ValueError(f"densities sum to {pi.sum()}, not 1")
         if self.counts is not None:
@@ -220,8 +216,7 @@ def dist_to_nblock(x, n_blocks: int) -> float:
     x, so the distance is (minimum disagreement count)/|x|.  A string of
     at most n_blocks runs is at distance 0 without running the DP.
     """
-    if n_blocks < 1:
-        raise ValueError("need at least one block")
+    _check_size(n_blocks, "n_blocks", 1)
     bits = _as_bits_array(x)
     values, lengths = _kernels.bit_runs(bits)
     if n_blocks >= values.size:

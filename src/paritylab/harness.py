@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import math
-import numbers
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
@@ -24,14 +23,14 @@ from .collector import (
     BaseGraph,
     CCTesterConfig,
     _cc_rows,
-    _check_epsilon,
     _confused_draw,
     _keep_probs,
     _row_chunks,
     test_uniformity_cc,
 )
 from . import _kernels
-from .core import PartialDistribution, PartialDistributionPair, _json_object, necklace_sums
+from .core import (PartialDistribution, PartialDistributionPair, _check_epsilon, _check_positive,
+                   _check_size, _json_object, necklace_sums)
 from .parity import (
     _PT_LARGE_STATS,
     _PT_LARGE_STEPS,
@@ -116,6 +115,7 @@ def interval_far_distribution(n: int, epsilon: float, seed, width: int | None = 
 def _interval_far_rows(n: int, epsilon: float, seed, rows: int,
                        width: int | None = None) -> np.ndarray:
     """`rows` interval-far distributions, one per row, each on its own random arc."""
+    _check_epsilon(epsilon)
     if width is None:
         width = max(1, n // 16)
     if not 0 < width < n:
@@ -140,8 +140,7 @@ class ExperimentSpec:
     seed: int
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
+        _check_size(self.trials, "trials", 1)
         if not (isinstance(self.grid, list) and self.grid
                 and all(isinstance(point, dict) for point in self.grid)):
             raise ValueError("grid must be a non-empty list of objects")
@@ -230,16 +229,21 @@ def _setup(tester: str, point: dict):
 
     The config is the tester's defaults overridden by the fields the point
     names, and "c" sets its sample-size constant; m is the point's "m", or
-    the tester's formula when it has none.  A config field without a
-    default that the point does not name, a "mode" (the tester names the
-    parity-trace branch), an "epsilon" outside (0,2], or an "m" that is not
-    a positive finite number, raises ValueError; so do a bool "m", and for
-    pt_small, whose m is a count of draws, an "m" that is not a whole number.
+    the tester's formula when it has none.  A key the tester does not read
+    (a "mode" too: the tester names the branch), a non-bool "override", a
+    config field without a default that the point does not name, an
+    "epsilon" outside (0,2], an "n" that is not an integer >= 1, or an "m"
+    that is not a positive finite real raises ValueError, as does a
+    pt_small "m" that is not a whole number of draws.
     """
     cls, c_field, formula, _ = _TESTERS[tester]
+    readable = {*cls.__dataclass_fields__, *_POINT_KEYS, *_TESTER_KEYS[tester]} - {"mode"}
+    for key in point:
+        if key not in readable:
+            raise ValueError(f"grid point {point} names a {key!r}, which {tester} does not read")
+    if not isinstance(point.get("override", False), bool):
+        raise ValueError(f"grid point {point} needs a bool 'override'")
     kwargs = {name: point[name] for name in cls.__dataclass_fields__ if name in point}
-    if "mode" in kwargs:
-        raise ValueError(f"grid point {point} names a 'mode'; the {tester} tester is the branch")
     if "c" in point:
         kwargs[c_field] = point["c"]
     for field in fields(cls):
@@ -247,11 +251,11 @@ def _setup(tester: str, point: dict):
             raise ValueError(f"grid point {point} has no {field.name!r}")
     cfg = cls(**kwargs)
     _check_epsilon(point["epsilon"])
+    _check_size(point["n"], "n", 1)
     m = point.get("m")
     if m is None:
         return cfg, formula(cfg, point["n"], point["epsilon"])
-    if isinstance(m, bool) or not (isinstance(m, numbers.Real) and math.isfinite(m) and m > 0):
-        raise ValueError(f"grid point {point} needs a positive finite 'm'")
+    _check_positive(m, "a grid point's 'm'")
     if tester == "pt_small" and m != int(m):
         raise ValueError(f"grid point {point} needs a whole number 'm' of draws")
     return cfg, m
@@ -348,6 +352,10 @@ def _pt_small_point(point: dict, trials: int, rng):
         fired = np.asarray(_PT_SMALL_STEPS)[step]
         yield fired == "none", np.where(fired == "coverage", 0.0, c_stat)
 
+
+# the keys of a grid point besides its config fields, for every tester and per tester
+_POINT_KEYS = ("n", "epsilon", "m", "c", "instance", "width")
+_TESTER_KEYS = {"cc": ("graph", "override"), "pt_large": ("bias",), "pt_small": ("bias",)}
 
 # per tester: config class, the field a point's "c" sets, sample-size formula, grid point
 _TESTERS = {

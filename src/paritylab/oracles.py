@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .collector import (BaseGraph, _check_positive, _cycle_join_product, _keep_probs, _row_chunks,
-                        _subgraph_labels)
+from .collector import BaseGraph, _join_product, _keep_probs, _row_chunks, _subgraph_labels
+from .core import _check_positive, _check_size, _weights
 from .rng import generator
 
 __all__ = [
@@ -81,25 +81,11 @@ def uniform_conjugate(q, m: float, p=None) -> ConjugateReport:
     p_tilde = tau * (sig + np.roll(sig, 1) - 1.0)
     emq = math.exp(-m * q_mass)
     xi = emq / (1.0 - emq) ** 2
-    residual = float(np.max(np.abs(_cycle_join_product(keep, p_tilde) - tau)))
+    residual = float(np.max(np.abs(_join_product(keep, p_tilde, "cycle") - tau)))
     z = None
     if p is not None:
         z = _weights(p, "p", qw.size) - p_tilde
     return ConjugateReport(p_tilde=p_tilde, tau=tau, xi=xi, residual=residual, z=z)
-
-
-def _weights(x, name: str, size: int | None = None) -> np.ndarray:
-    """The weights of `x` as float64, or ValueError unless they are a non-empty
-    vector of finite, non-negative values (of length `size`, if given)."""
-    w = np.asarray(getattr(x, "weights", x), dtype=np.float64)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError(f"{name} must be a non-empty vector")
-    if size is not None and w.size != size:
-        raise ValueError(f"{name} must have length {size}, got {w.size}")
-    # max and min propagate NaN, so these reductions catch NaN, +-inf and negatives
-    if not (math.isfinite(w.max()) and w.min() >= 0):
-        raise ValueError(f"{name} must be finite and non-negative")
-    return w
 
 
 def _finite(x, name: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -120,8 +106,7 @@ def simulated_bucket_means(q, values, m: float, trials: int, seed) -> np.ndarray
     """
     qw = _weights(q, "q")
     _check_positive(m, "m")
-    if not trials >= 1:
-        raise ValueError(f"trials must be at least 1, got {trials!r}")
+    _check_size(trials, "trials", 1)
     n = qw.size
     vals = _finite(values, "values", (n,))
     rng = generator(seed)
@@ -179,8 +164,7 @@ def variance_components(p, graph: BaseGraph, m: float, trials: int, seed,
     4m*sum_b s_b^3 over bucket masses s_b.  Returns (variance of the
     conditional mean, mean of the conditional variance).
     """
-    if trials < 1000:
-        raise ValueError("need at least 1e3 trials for a stable split")
+    _check_size(trials, "trials", 1000)  # fewer give no stable split
     pw = _weights(p, "p")
     if pw.shape != (graph.n,):
         raise ValueError("distribution and graph sizes differ")

@@ -14,14 +14,13 @@ d = 2n and nu = exp(-m/2n), checked by `collector._collision_check`.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .collector import (_check_epsilon, _check_positive, _collision_check, _join_sum, _pair_sums,
-                        phi_from_keep_probs)
-from .core import RunLengthTrace, circular_runs, linear_runs
+from .collector import _collision_check, _join_sum, _pair_sums, phi_from_keep_probs
+from .core import (RunLengthTrace, SampleMultiset, _check_epsilon, _check_positive, _check_size,
+                   circular_runs, linear_runs)
 from .verdict import Verdict
 
 __all__ = [
@@ -94,8 +93,7 @@ def phi_mu_sum(n: int, m: float) -> float:
 
 def _necklace_keep(n: int, m: float) -> float:
     """exp(-m/2n), the keep of every necklace edge."""
-    if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and n >= 1):
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    _check_size(n, "n", 1)
     _check_positive(m, "m")
     return math.exp(-m / (2 * n))
 
@@ -119,9 +117,9 @@ def uht_histogram(counts, domain_size: int, epsilon: float) -> Verdict:
     """Plain collision tester on a multiplicity histogram.
 
     Accepts iff C = sum_i X_i(X_i-1) / (m(m-1)) is at most
-    (1 + eps^2/2) / D.
+    (1 + eps^2/2) / D.  `counts` that `SampleMultiset` rejects raise ValueError.
     """
-    m, c_stat, threshold, reject = _collision_rows(np.reshape(counts, (1, -1)),
+    m, c_stat, threshold, reject = _collision_rows(SampleMultiset(counts).counts.reshape(1, -1),
                                                    domain_size, epsilon)
     if m[0] < 2:
         raise ValueError("histogram tester needs at least two samples")
@@ -210,11 +208,9 @@ def _pt_small_rows(counts, n: int, epsilon: float):
     """Coverage and collision checks of `test_uniformity_pt_small` per row of 2n counts.
 
     The linear trace recovers the histogram exactly when every element of
-    [2n] was sampled, and the histogram is then the count row itself.
-    Returns (step, C, m, threshold), where step[i] indexes _PT_SMALL_STEPS.
+    [2n] was sampled, and the histogram is then the count row itself.  The
+    callers check n.  Returns (step, C, m, threshold); step[i] indexes _PT_SMALL_STEPS.
     """
-    if n < 1:
-        raise ValueError(f"the small-eps tester needs n >= 1, got n={n}")
     counts = np.asarray(counts, dtype=np.float64)
     covered = (counts > 0).all(axis=1)
     m, c_stat, threshold, reject = _collision_rows(counts, 2 * n, epsilon)
@@ -242,8 +238,9 @@ def test_uniformity_pt_small(trace, n: int, epsilon: float,
     The linear trace recovers the exact histogram iff every element of
     [2n] was sampled, which forces the shape (1+0+)^n.  Reject on any
     coverage failure, otherwise hand the 2n multiplicities to the
-    histogram tester.
+    histogram tester.  An `n` that is not an integer >= 1 raises ValueError.
     """
+    _check_size(n, "n", 1)
     bits = trace.bits if isinstance(trace, RunLengthTrace) else trace
     values, lengths = linear_runs(bits)
     # runs alternate, so 2n runs starting with a 1 are the shape (1+0+)^n and list the

@@ -362,3 +362,46 @@ def test_pair_json_roundtrip():
     again = pair_from_json(pair_to_json(pair))
     assert np.allclose(again.p.weights, pair.p.weights)
     assert np.allclose(again.q.weights, pair.q.weights)
+
+
+def _size_calls():
+    """name -> (call with the size, the size's name, its floor) of every `_check_size` site."""
+    from paritylab.collector import BaseGraph, phi_empirical
+    from paritylab.deletion import TraceTestSpec, learn_k_alternating, split_traces
+    from paritylab.editdist import dist_to_nblock, uniform_density
+    from paritylab.harness import ExperimentSpec
+    from paritylab.oracles import variance_components
+    from paritylab.parity import test_uniformity_pt_small
+
+    q = np.full(4, 0.1)
+    return {
+        "BaseGraph": (lambda v: BaseGraph("cycle", v), "n", 2),
+        "TraceTestSpec": (lambda v: TraceTestSpec(8, v, 0.3, 0.5, property_name="n_block"),
+                          "n_blocks", 1),
+        "dist_to_nblock": (lambda v: dist_to_nblock("0110", v), "n_blocks", 1),
+        "learn_k_alternating": (lambda v: learn_k_alternating([(0, 1), (1, 0)], v), "k", 0),
+        "split_traces": (lambda v: split_traces(uniform_density(4), 8, v, 1e-3, 1), "k", 1),
+        "split_sample_k": (lambda v: split_sample_k(uniform_pair(4), 10.0, v, 1), "k", 1),
+        "phi_empirical": (lambda v: phi_empirical(BaseGraph("cycle", 4), 0.5, v, 1),
+                          "trials", 1),
+        "variance_components": (lambda v: variance_components(q, BaseGraph("cycle", 4), 5.0, v,
+                                                              1, eta=0.5), "trials", 1000),
+        "ExperimentSpec": (lambda v: ExperimentSpec("pt_small", [{"n": 8, "epsilon": 0.3}], v, 1),
+                           "trials", 1),
+        "test_uniformity_pt_small": (lambda v: test_uniformity_pt_small("10" * 8, v, 0.3), "n", 1),
+    }
+
+
+@pytest.mark.parametrize("site", list(_size_calls()))
+@pytest.mark.parametrize("bad", ["half", "below", "bool", "string"])
+def test_a_size_that_is_not_an_integer_at_its_floor_raises(site, bad):
+    # at the parent BaseGraph("cycle", 2.5) and the n_block TraceTestSpec at 2.5 blocks
+    # constructed, learn_k_alternating took True as k=1, and dist_to_nblock, phi_empirical
+    # and test_uniformity_pt_small raised TypeError at 2.5
+    call, name, low = _size_calls()[site]
+    value = {"half": low + 0.5, "below": low - 1, "bool": True, "string": str(low)}[bad]
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= {low}, got {value!r}"):
+        call(value)
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= {low}"):
+        call(np.float64(low))
+    call(np.int64(low))  # a numpy integer at the floor is a size

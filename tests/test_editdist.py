@@ -310,3 +310,11 @@ def test_block_string_helpers():
     b = BlockString("110010")
     assert b.n_blocks == 4
     assert len(b) == 6
+
+
+@pytest.mark.parametrize("pi", [[np.nan, 1.0], [1.0, np.inf], [-np.inf, 1.0], [1.5, -0.5], []],
+                         ids=["nan", "inf", "-inf", "negative", "empty"])
+def test_density_sequence_checks_its_masses_before_their_sum(pi):
+    # [nan, 1] constructed, and its tv_distance to any sequence was nan
+    with pytest.raises(ValueError, match="densities must be"):
+        DensitySequence(np.array(pi))

@@ -14,6 +14,7 @@ import pytest
 from paritylab.cli import build_parser, main
 from paritylab.collector import CCTesterConfig
 from paritylab.core import sample_poissonized
+from paritylab.deletion import uniform_block_string
 from paritylab.editdist import DensitySequence, tv_distance, uniform_density
 from paritylab.harness import (
     ExperimentSpec,
@@ -306,13 +307,38 @@ def test_cli_json_input_that_misses_a_key_exits_2(tmp_path, command, payload, me
      "names a 'mode'"),
     ({"tester": "pt_small", "grid": [{"n": 8, "epsilon": 0.3, "mode": "small_eps"}]},
      "names a 'mode'"),
+    ({"tester": "pt_large", "grid": [{"n": 2.5, "epsilon": 0.3}]}, "n must be an integer >= 1"),
+    ({"tester": "pt_small", "grid": [{"n": 2.5, "epsilon": 0.3}]}, "n must be an integer >= 1"),
+    ({"tester": "cc", "grid": [{"n": 2.5, "epsilon": 0.3, "eta": 0.5}]},
+     "n must be an integer >= 1"),
+    ({"tester": "pt_large", "grid": [{"n": 0, "epsilon": 0.3}]}, "n must be an integer >= 1"),
+    ({"tester": "pt_small", "grid": [{"n": 0, "epsilon": 0.3}]}, "n must be an integer >= 1"),
+    ({"tester": "pt_small", "grid": [{"n": True, "epsilon": 0.3}]}, "n must be an integer >= 1"),
+    ({"tester": "cc", "grid": [{"n": 64, "epsilon": 0.3, "eta": 0.5, "instance": "paired_far",
+                                "bias": 0.05}]}, "names a 'bias'"),
+    ({"tester": "cc", "grid": [{"n": 64, "epsilon": 0.3, "eta": 0.5, "override": "no"}]},
+     "needs a bool 'override'"),
+    ({"tester": "cc", "grid": [{"n": 64, "epsilon": 0.3, "eta": 0.5, "gamma": 3.3}]},
+     "names a 'gamma'"),
+    ({"tester": "pt_large", "grid": [{"n": 8, "epsilon": 0.3, "graph": "path"}]},
+     "names a 'graph'"),
+    ({"tester": "pt_large", "grid": [{"n": 8, "epsilon": 0.3, "eta": 0.5}]}, "names a 'eta'"),
+    ({"tester": "pt_small", "grid": [{"n": 8, "epsilon": 0.3, "override": True}]},
+     "names a 'override'"),
+    ({"tester": "pt_small", "grid": [{"n": 8, "epsilon": 0.3, "instnace": "paired_far"}]},
+     "names a 'instnace'"),
 ], ids=["grid_5", "grid_of_5", "pt_large_beta_nan", "cc_beta_nan", "cc_c_negative",
         "pt_small_c_string", "pt_large_beta_true", "cc_c_true", "cc_eta_true", "cc_eta_string",
-        "pt_large_mode", "pt_small_mode"])
+        "pt_large_mode", "pt_small_mode", "pt_large_n_half", "pt_small_n_half", "cc_n_half",
+        "pt_large_n_0", "pt_small_n_0", "pt_small_n_true", "cc_bias", "cc_override_string",
+        "cc_gamma", "pt_large_graph", "pt_large_eta", "pt_small_override", "pt_small_typo"])
 def test_cli_experiment_bad_grid_or_constant_exits_2(tmp_path, capsys, spec, message):
     # the grids and the string c and eta exited 1 with a TypeError traceback; beta=NaN
     # accepted every far trial, c=-1 ran at m=1, the bools ran at 1.0, and the mode
-    # ran the run-length checks under a small_eps CSV column
+    # ran the run-length checks under a small_eps CSV column.  An n of 2.5 exited 1 with
+    # a TypeError traceback, 0 exited 2 with "math domain error", and pt_small ran
+    # "n": true.  Each key its tester does not read ran and was echoed in the CSV: the cc
+    # bias point ran at bias min(1, 2 eps) = 0.6, and "override": "no" with the override on
     sfile = tmp_path / "spec.json"
     sfile.write_text(json.dumps({"schema": 1, "trials": 2, "seed": 1, **spec}))
     assert main(["experiment", str(sfile)]) == 2
@@ -496,3 +522,37 @@ def test_readme_cli_examples_parse():
     # together the lines show every subcommand the parser has
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert {shlex.split(line)[1] for line in lines} == set(sub.choices)
+
+
+def test_cli_dist_nan_density_exits_2(tmp_path, capsys):
+    # [NaN, 1.0] printed {"tv": NaN, ...}, which is not strict JSON, and exited 0
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text("[NaN, 1.0]")
+    b.write_text("[0.5, 0.5]")
+    assert main(["dist", str(a), str(b), "--metric", "tv"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "densities must be finite and non-negative" in out.err
+
+
+def test_a_point_may_name_every_key_its_tester_reads():
+    common = {"n": 8, "epsilon": 0.3, "m": 40, "c": 1.0, "instance": "interval_far", "width": 2}
+    _setup("cc", dict(common, eta=0.5, alpha=20.0, beta=40.0, L=0.1, graph="path",
+                      override=True))
+    for tester in ("pt_large", "pt_small"):
+        _setup(tester, dict(common, alpha=20.0, beta=0.0025, gamma=3.3, c_m=5.0, c_small=4.0,
+                            bias=0.4))
+
+
+def test_instance_generators_check_epsilon_and_first(capsys):
+    # interval --eps nan printed all-NaN masses, and --first 2 printed the --first 0 string;
+    # both exited 0
+    with pytest.raises(ValueError, match="epsilon"):
+        interval_far_distribution(16, math.nan, 1)
+    for first in (2, -1):
+        with pytest.raises(ValueError, match="first must be 0 or 1"):
+            uniform_block_string(8, 4, first=first)
+    assert uniform_block_string(8, 4, first=0) == "00110011"
+    assert main(["instance", "interval", "--n", "16", "--eps", "nan"]) == 2
+    assert main(["instance", "uniform-blocks", "--N", "8", "--blocks", "4", "--first", "2"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "epsilon" in out.err and "first must be 0 or 1" in out.err

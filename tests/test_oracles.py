@@ -192,7 +192,8 @@ def test_expected_y_reads_a_nested_list_as_phi():
 
 
 BAD_BUCKET_MEAN_ARGS = {"trials 0": {"trials": 0}, "trials -3": {"trials": -3},
-                        "trials nan": {"trials": np.nan},
+                        "trials nan": {"trials": np.nan}, "trials 2.5": {"trials": 2.5},
+                        "trials true": {"trials": True},
                         "values nan": {"values": [1.0, np.nan, 1.0]},
                         "values inf": {"values": [1.0, 1.0, -np.inf]},
                         "values length": {"values": np.ones(4)},
@@ -201,7 +202,8 @@ BAD_BUCKET_MEAN_ARGS = {"trials 0": {"trials": 0}, "trials -3": {"trials": -3},
 
 @pytest.mark.parametrize("case", list(BAD_BUCKET_MEAN_ARGS))
 def test_simulated_bucket_means_rejects_bad_trials_and_values(case):
-    # trials=0 returned all NaN, trials=-3 all -0.0, and a NaN value all NaN
+    # trials=0 returned all NaN, trials=-3 all -0.0, and a NaN value all NaN; trials=2.5
+    # raised TypeError and True ran one trial
     args = {"q": np.full(3, 0.1), "values": np.ones(3), "m": 5.0, "trials": 10, "seed": 1}
     args.update(BAD_BUCKET_MEAN_ARGS[case])
     with pytest.raises(ValueError, match=case.split()[0] + " must"):

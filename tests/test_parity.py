@@ -243,3 +243,15 @@ def test_uniform_expectation_tanh_closed_form():
         emq = math.exp(-m / 2)
         xi = emq / (1 - emq) ** 2
         assert abs(exact - approx) <= 2 * m * n * xi + 1e-9
+
+
+@pytest.mark.parametrize("counts,message", [
+    ([math.nan, 5, 3, 3], "whole numbers"),
+    ([-1, 5, 3, 3], "non-negative"),
+    ([math.inf, 5, 3, 3], "whole numbers"),
+    ([2.5, 5, 3, 3], "whole numbers"),
+], ids=["nan", "negative", "inf", "half"])
+def test_uht_histogram_checks_its_counts(counts, message):
+    # nan accepted with C null, and -1 rejected with a made-up C of 0.378
+    with pytest.raises(ValueError, match=message):
+        uht_histogram(counts, 4, 0.3)

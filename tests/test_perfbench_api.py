@@ -7,6 +7,7 @@ depends on would otherwise surface only when the benchmark runs.
 
 import ast
 import importlib
+import importlib.util
 import inspect
 from pathlib import Path
 
@@ -113,3 +114,29 @@ def _reads_calibration(monkeypatch):
                          ids=lambda f: f.__name__.removeprefix("_reads_"))
 def test_perfbench_record_attributes(read, monkeypatch):
     read(monkeypatch)
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH[0].parent / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+@pytest.mark.parametrize("workload", ["desk_small", "desk_large", "sweep"])
+def test_perfbench_points_name_only_keys_their_tester_reads(workload, monkeypatch):
+    # a grid point that names a key its tester does not read raises ValueError, so
+    # every grid point perfbench runs, and every point its calibration search probes,
+    # must pass the tester's setup
+    def rates(tester, point, *rest):
+        harness._setup(tester, point)
+        return 1.0, 1.0
+
+    monkeypatch.setattr(harness, "_rates", rates)
+    families = _workloads()[workload]
+    for family in ("cc_trials", "pt_large_trials", "pt_small_trials"):
+        for point, _, _ in families[family]["grid"]:
+            harness._setup(family.removesuffix("_trials"), point)
+        if "calibrate" in families[family]:
+            args = dict(families[family]["calibrate"])
+            calibrate_constants(args.pop("tester"), args.pop("n"), args.pop("epsilon"), **args)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from paritylab.collector import BaseGraph, CCTesterConfig, _cycle_join_product, phi_from_keep_probs
+from paritylab.collector import BaseGraph, CCTesterConfig, _join_product, phi_from_keep_probs
 from paritylab.collector import test_uniformity_cc as cc_verdict
 from paritylab.core import PartialDistribution, circular_runs
 from paritylab.deletion import TraceTestSpec, learn_k_alternating
@@ -104,10 +104,9 @@ def test_join_matrix_is_a_symmetric_matrix_of_probabilities(keeps, kind, seed):
     assert phi.shape == (keep.size + (kind == "path"),) * 2
     assert np.array_equal(phi, phi.T) and np.all(np.diag(phi) == 1.0)
     assert np.all((phi >= 0) & (phi <= 1))
-    if kind == "cycle":
-        v = np.random.default_rng(seed).standard_normal(keep.size)
-        np.testing.assert_allclose(_cycle_join_product(keep, v), phi @ v,
-                                   rtol=0, atol=1e-14 * np.abs(v).sum())
+    v = np.random.default_rng(seed).standard_normal(phi.shape[0])
+    np.testing.assert_allclose(_join_product(keep, v, kind), phi @ v,
+                               rtol=0, atol=1e-14 * np.abs(v).sum())
 
 
 @given(bitstrings.filter(len), st.integers(0, 63))
