@@ -8,11 +8,12 @@ paths: a bit-parallel DP over Python ints, and a DP over pairs of runs
 that wins on block strings of few long runs (at N=16384, below about 64
 runs per string; at N=1024, below about 8).  `levenshtein` picks one by a
 cost rule on the lengths and run counts.  `bit_runs` is the one run
-extractor.  `interval_scan` reads its (n, n) table of interval masses as
-sliding windows of prefix sums, in row blocks that stay in L2: at n=512 it
-takes 1.3 ms against 6.3-6.9 ms for the one-shot table with index gathers
-(the join matrix and its O(n) product behind the conjugate residual live
-in `collector`, as direct products of keeps).  All randomness is drawn by
+extractor.  `interval_scan` reads an (n, n) table of interval masses as
+sliding windows of prefix sums; from n=320 on it bounds bands of interval
+lengths per row and reads only the bands whose bound reaches an exact
+floor, which saves as much as the masses let bands fall below it (the
+join matrix and its O(n) product behind the conjugate residual live in
+`collector`, as direct products of keeps).  All randomness is drawn by
 the callers, outside the kernels.  ``perfbench/run.py`` times them in
 their callers: the DPs in the edit oracles, the scan in the conjugate
 oracles, and the bucket kernels in every cc trial.
@@ -25,9 +26,21 @@ from numpy.lib.stride_tricks import as_strided
 
 _INF = np.int64(1) << 40
 _LABELS = np.array([[0], [1]])  # both labels as a column, against a row of run values
-# cells per row block of `interval_scan`: its four arrays take 25 bytes a cell,
-# 400 KB in all; 2^14 and 2^15 scanned n=512 fastest on a 2-vCPU Xeon
+# cells of each block `interval_scan` reads, of whole rows or of live bands: its
+# four arrays take 25 bytes a cell, 400 KB in all, so a block stays in a 2 MB L2
+# cache; 2^14 and 2^15 scanned n=512 fastest on a 2-vCPU Xeon
 _SCAN_CELLS = 1 << 14
+# band widths of `interval_scan` when it prunes: each row starts in bands of
+# _BAND lengths, halved down to the _LEAF lengths it reads.  On random masses
+# (median of 12, 2-vCPU Xeon) 64 and 8 were the fastest of the pairs tried from
+# 32 to 128 and 4 to 16 at n=1024 and 2048; at n=512, 32 and 8 took 0.72 of
+# their time, but 1.1 and 1.4 times as long at n=1024 and 2048
+_BAND, _LEAF = 64, 8
+_LEAF_COLS = np.arange(_LEAF)
+# the smallest n where `interval_scan` prunes: on random masses (16 per size and
+# graph, 2-vCPU Xeon) the pruned scan beat the whole table on 10 of 16 cycles at
+# n=256 and 13 at n=288, and on at least 15 of 16 of either graph from 320 to 512
+_PRUNE_FROM = 320
 
 # Always False: there is no compiled kernel path.  Kept only because
 # perfbench records it in its environment line.
@@ -323,13 +336,19 @@ def interval_scan(p: np.ndarray, q: np.ndarray, t: float, cycle: bool):
     with its argmax, and the interval maximizing p[I] among those with
     q[I*] <= t (the witness candidate); I* holds the d-1 edges inside the
     interval of d vertices starting at i.  Ties go to the first (i, d) in
-    row-major order.  p and q are finite.
+    row-major order.  p and q are finite and non-negative, and t > 0.
 
     Row i, column d-1 of the (n, n) table holds the interval (i, d): its
-    masses are differences of prefix sums over the doubled cycle, read as
-    sliding windows.  Rows go in blocks of about _SCAN_CELLS cells, so a
-    block's four arrays stay in a 2 MB L2 cache; each block's argmax is
-    carried forward only when strictly larger, so the first maximum wins.
+    masses are differences of prefix sums over the doubled cycle.  Below
+    n = _PRUNE_FROM the table is read whole, as sliding windows, in blocks
+    of about _SCAN_CELLS cells.  From there on, each span of rows is cut
+    into bands of lengths per row, and only the cells of the bands that
+    `_live_bands` cannot rule out are read; a span whose bands prune too
+    little is read whole instead.  Every cell read is computed by the same
+    float operations either way, blocks go in row-major order and carry a
+    maximum forward only when strictly larger, and the live bands hold
+    every cell that ties a maximum, so the 6-tuple is the whole table's,
+    ties included.
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -340,27 +359,139 @@ def interval_scan(p: np.ndarray, q: np.ndarray, t: float, cycle: bool):
     qend = _windows(qc[:-1], n)  # qend[i, d-1] = qc[i+d-1]
     # on the path, interval (i, d) runs past vertex n-1 exactly when i + d > n
     outside = None if cycle else _windows(np.arange(2 * n - 1) >= n, n)
-    rows = max(1, _SCAN_CELLS // n)
-    psum = np.empty((min(rows, n), n))
+    step = max(1, _SCAN_CELLS // n)  # rows of a block of whole rows
+    psum = np.empty((min(step, n), n))
     den, ratio = np.empty_like(psum), np.empty_like(psum)
     over = np.empty(psum.shape, dtype=np.bool_)
+    spans = [(0, n, None)]
+    if n >= _PRUNE_FROM:
+        # pad with the last prefix sums, which keeps them non-decreasing, so a
+        # band may read past the doubled cycle
+        pc, qc = (np.concatenate((c, np.full(_BAND, c[-1]))) for c in (pc, qc))
+        last = np.full(n, n) if cycle else np.arange(n, 0, -1)  # longest interval of each row
+        floor = _floor(pc, qc, t, last)
+        span = max(1, _SCAN_CELLS * _BAND // n)  # rows with at most _SCAN_CELLS first bands
+        spans = ((i0, i1, _live_bands(pc, qc, t, last, floor, i0, i1))
+                 for i0 in range(0, n, span) for i1 in [min(i0 + span, n)])
     best = witness = None
-    for i0 in range(0, n, rows):
-        i1 = min(i0 + rows, n)
-        ps, dn, ra, ov = psum[:i1 - i0], den[:i1 - i0], ratio[:i1 - i0], over[:i1 - i0]
-        np.subtract(pend[i0:i1], pc[i0:i1, None], out=ps)
-        np.subtract(qend[i0:i1], qc[i0:i1, None], out=dn)
-        np.maximum(dn, t, out=dn)
-        np.not_equal(dn, t, out=ov)  # q[I*] > t
-        np.divide(ps, dn, out=ra)
-        if outside is not None:
-            np.copyto(ra, -np.inf, where=outside[i0:i1])
-            ov |= outside[i0:i1]
-        np.copyto(ps, -np.inf, where=ov)
-        best = _carry_argmax(best, ra, i0)
-        witness = _carry_argmax(witness, ps, i0)
+    for i0, i1, live in spans:
+        if live is None:  # the rows whole
+            for k in range(i0, i1, step):
+                m = min(step, i1 - k)
+                ps, dn, ra, ov = psum[:m], den[:m], ratio[:m], over[:m]
+                np.subtract(pend[k:k + m], pc[k:k + m, None], out=ps)
+                np.subtract(qend[k:k + m], qc[k:k + m, None], out=dn)
+                _score(ps, dn, t, None if cycle else outside[k:k + m], ra, ov)
+                best = _carry_argmax(best, ra, k)
+                witness = _carry_argmax(witness, ps, k)
+        else:  # the live bands, _SCAN_CELLS // _LEAF a block
+            best, witness = _read_bands(best, witness, pc, qc, t, last, *live)
     (gamma, gi, gd), (wp, wi, wd) = best, witness
-    return float(gamma), gi, gd + 1, float(wp), wi, wd + 1
+    return float(gamma), gi, gd, float(wp), wi, wd
+
+
+def _read_bands(best, witness, pc: np.ndarray, qc: np.ndarray, t: float, last: np.ndarray,
+                rows: np.ndarray, lo: np.ndarray):
+    """`best` and `witness` carried over the bands of lengths lo..lo+_LEAF-1 of
+    the rows `rows`, in blocks of about _SCAN_CELLS cells."""
+    pw, qw = _windows(pc, _LEAF), _windows(qc, _LEAF)  # pw[k, c] = pc[k + c]
+    step = max(1, _SCAN_CELLS // _LEAF)
+    for k in range(0, rows.size, step):
+        r, d = rows[k:k + step], lo[k:k + step]
+        ps = pw[r + d] - pc[r, None]
+        dn = qw[r + d - 1] - qc[r, None]
+        ratio, over = np.empty_like(ps), np.empty(ps.shape, dtype=np.bool_)
+        _score(ps, dn, t, d[:, None] + _LEAF_COLS > last[r, None], ratio, over)
+        best = _carry_argmax(best, ratio, r, d)
+        witness = _carry_argmax(witness, ps, r, d)
+    return best, witness
+
+
+def _score(ps: np.ndarray, dn: np.ndarray, t: float, outside, ratio: np.ndarray,
+           over: np.ndarray) -> None:
+    """Write a block's ratios ps/max(dn, t) to `ratio`, and its witness masses
+    (ps where dn <= t) over its p-sums `ps`, from its q-sums `dn`; a cell
+    where `outside` holds is -inf in both.  `dn` and `over` are scratch."""
+    np.maximum(dn, t, out=dn)
+    np.not_equal(dn, t, out=over)  # q[I*] > t
+    np.divide(ps, dn, out=ratio)
+    if outside is not None:
+        np.copyto(ratio, -np.inf, where=outside)
+        over |= outside
+    np.copyto(ps, -np.inf, where=over)
+
+
+def _floor(pc: np.ndarray, qc: np.ndarray, t: float, last: np.ndarray) -> float:
+    """fl(w / t) for the largest p-sum w of some exact witness cells: the
+    ratio of one of them, so at most the largest ratio, and at most
+    fl(W / t) for the largest witness mass W.
+
+    The cells are the longest interval of each row whose q[I*] is about t,
+    which holds the row's largest witness mass.  searchsorted may miss it by
+    a rounding step; a cell so found with q[I*] > t counts as 0, a mass that
+    the witness of length 1 reaches.
+    """
+    n = last.size
+    rows = np.arange(n)
+    ends = np.searchsorted(qc, qc[:n] + t, side="right") - 1
+    d = np.clip(ends - rows + 1, 1, last)
+    return np.where(qc[rows + d - 1] - qc[:n] <= t, pc[rows + d] - pc[:n], 0.0).max() / t
+
+
+def _live_bands(pc: np.ndarray, qc: np.ndarray, t: float, last: np.ndarray, floor: float,
+                i0: int, i1: int):
+    """(rows, lo): every band of lengths lo..lo+_LEAF-1 of the rows i0..i1-1 that
+    may hold a cell of the largest ratio or of the largest witness mass, in
+    row-major order.  None as soon as a level keeps more than 15/16 as many
+    bands as the first level has: the bounds then prune too little to cost
+    less than the rows read whole, as on masses where most intervals tie.
+
+    The bounds rest on monotone rounding: prefix sums of non-negative values
+    never decrease, and fl(a - b) and fl(a / b) are monotone in each
+    argument.  So no cell of the band [lo, hi] of row i has a ratio above
+    B = fl(psum(i, hi) / max(qsum(i, lo), t)).  A witness cell there has
+    qsum <= t, so qsum(i, lo) <= t and B = fl(psum(i, hi) / t) is at least
+    fl(w / t) for its p-sum w.  A band is dropped only when B is strictly
+    below the `_floor`, so every cell that ties either maximum stays.  Bands
+    start _BAND lengths wide and are halved down to _LEAF, and each level
+    drops what it can: over the whole grid of a width while more than a
+    quarter of its bands are live, where that costs less than gathering the
+    live ones, and over the gathered live bands after.
+    """
+    n, w, keep = last.size, _BAND, None
+    while True:  # a level over the whole grid of rows i0..i1-1 and lo = 1 + w*j
+        bands = (n + w - 1) // w
+
+        def grid(c, at):  # c[at:][i - i0 + w*j]: pc[i + lo + w - 1] at i0 + w
+            return as_strided(c[at:], (i1 - i0, bands), (c.strides[0], c.strides[0] * w))
+
+        live = ((grid(pc, i0 + w) - pc[i0:i1, None])
+                / np.maximum(grid(qc, i0) - qc[i0:i1, None], t) >= floor)
+        live &= np.arange(1, n + 1, w) <= last[i0:i1, None]
+        if keep is None:
+            cap = live.size - live.size // 16
+        else:  # the halves of the bands the level above kept
+            live &= np.repeat(keep, 2, axis=1)[:, :bands]
+        kept = np.count_nonzero(live)
+        if kept > cap:
+            return None
+        keep = live
+        if w == _LEAF or 4 * kept <= live.size:
+            break
+        w //= 2
+    rows, j = np.nonzero(keep)
+    rows, lo = rows + i0, 1 + w * j
+    while w > _LEAF:  # levels over the live bands only, gathered
+        w //= 2
+        rows, lo = np.repeat(rows, 2), (lo[:, None] + (0, w)).ravel()
+        start = rows + lo - 1
+        ps = pc[start + w] - pc[rows]  # at length lo + w - 1, even past `last`: still a bound
+        keep = ps / np.maximum(qc[start] - qc[rows], t) >= floor
+        keep &= lo <= last[rows]
+        if np.count_nonzero(keep) > cap:
+            return None
+        rows, lo = rows[keep], lo[keep]
+    return rows, lo
 
 
 def _windows(x: np.ndarray, n: int) -> np.ndarray:
@@ -369,12 +500,15 @@ def _windows(x: np.ndarray, n: int) -> np.ndarray:
     return as_strided(x, (x.size - n + 1, n), x.strides * 2, writeable=False)
 
 
-def _carry_argmax(best, block: np.ndarray, i0: int):
-    """(value, row, column) of the first maximum over `best` and then `block`,
-    whose row 0 is row i0 of the table."""
+def _carry_argmax(best, block: np.ndarray, rows, lo=None):
+    """(value, row, length) of the first maximum over `best` and then `block`,
+    whose row k holds the lengths lo[k], lo[k] + 1, ... of table row rows[k];
+    without `lo`, the whole rows rows, rows + 1, ... from length 1."""
     at = int(block.argmax())
     value = block.flat[at]
     if best is not None and not value > best[0]:
         return best
-    row, col = divmod(at, block.shape[1])
-    return value, i0 + row, col
+    k, c = divmod(at, block.shape[1])
+    if lo is None:
+        return value, rows + k, c + 1
+    return value, int(rows[k]), int(lo[k]) + c

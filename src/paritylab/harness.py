@@ -118,8 +118,9 @@ def _interval_far_rows(n: int, epsilon: float, seed, rows: int,
     _check_epsilon(epsilon)
     if width is None:
         width = max(1, n // 16)
-    if not 0 < width < n:
-        raise ValueError("width must lie strictly between 0 and n")
+    _check_size(width, "width", 1)
+    if not width < n:
+        raise ValueError(f"width must be below n = {n}, got {width}")
     on_arc = 1.0 / n + epsilon / width
     off_arc = 1.0 / n - epsilon / (n - width)
     if min(on_arc, off_arc) < 0:
@@ -230,16 +231,16 @@ def _setup(tester: str, point: dict):
     The config is the tester's defaults overridden by the fields the point
     names, and "c" sets its sample-size constant; m is the point's "m", or
     the tester's formula when it has none.  A key the tester does not read
-    (a "mode" too: the tester names the branch), a non-bool "override", a
-    config field without a default that the point does not name, an
-    "epsilon" outside (0,2], an "n" that is not an integer >= 1, or an "m"
-    that is not a positive finite real raises ValueError, as does a
-    pt_small "m" that is not a whole number of draws.
+    (a config field it ignores, such as pt_small's "beta", or a "mode": the
+    tester names the branch), a non-bool "override", a config field without
+    a default that the point does not name, an "epsilon" outside (0,2], an
+    "n" that is not an integer >= 1, or an "m" that is not a positive finite
+    real raises ValueError, as does a pt_small "m" that is not a whole
+    number of draws.
     """
     cls, c_field, formula, _ = _TESTERS[tester]
-    readable = {*cls.__dataclass_fields__, *_POINT_KEYS, *_TESTER_KEYS[tester]} - {"mode"}
     for key in point:
-        if key not in readable:
+        if key not in _POINT_KEYS and key not in _TESTER_KEYS[tester]:
             raise ValueError(f"grid point {point} names a {key!r}, which {tester} does not read")
     if not isinstance(point.get("override", False), bool):
         raise ValueError(f"grid point {point} needs a bool 'override'")
@@ -353,9 +354,13 @@ def _pt_small_point(point: dict, trials: int, rng):
         yield fired == "none", np.where(fired == "coverage", 0.0, c_stat)
 
 
-# the keys of a grid point besides its config fields, for every tester and per tester
+# the keys a grid point may name: these for every tester, and per tester the
+# config fields that tester reads (cc all of its own, each pt tester a subset of
+# PTTesterConfig's) and then its own keys
 _POINT_KEYS = ("n", "epsilon", "m", "c", "instance", "width")
-_TESTER_KEYS = {"cc": ("graph", "override"), "pt_large": ("bias",), "pt_small": ("bias",)}
+_TESTER_KEYS = {"cc": (*CCTesterConfig.__dataclass_fields__, "graph", "override"),
+                "pt_large": ("alpha", "beta", "gamma", "c_m", "bias"),
+                "pt_small": ("c_small", "bias")}
 
 # per tester: config class, the field a point's "c" sets, sample-size formula, grid point
 _TESTERS = {

@@ -124,7 +124,10 @@ def relative_concentration(p, q, t: float, kind: str = "cycle") -> Concentration
 
     Also returns a witness interval satisfying q[I*] <= t and
     p[I] >= t * Gamma / 2, found by brute force over the same scan.
+    `kind` is "cycle" or "path".
     """
+    if kind not in ("path", "cycle"):
+        raise ValueError("kind must be 'path' or 'cycle'")
     _check_positive(t, "t")
     pw = _weights(p, "p")
     qw = _weights(q, "q", pw.size)

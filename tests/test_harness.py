@@ -32,7 +32,7 @@ def test_trial_configs_start_from_the_dataclass_defaults():
     # a point overrides the fields it names; its "c" is the tester's size constant
     point = {"n": 8, "epsilon": 0.3, "c": 7.0, "gamma": 1.0}
     assert _setup("pt_large", point)[0] == PTTesterConfig(c_m=7.0, gamma=1.0)
-    assert _setup("pt_small", point)[0] == PTTesterConfig(c_small=7.0, gamma=1.0)
+    assert _setup("pt_small", {"n": 8, "epsilon": 0.3, "c": 7.0})[0] == PTTesterConfig(c_small=7.0)
     point = {"n": 8, "epsilon": 0.3, "eta": 0.5, "L": 0.2}
     assert _setup("cc", point)[0] == CCTesterConfig(0.3, 0.5, L=0.2)
     with pytest.raises(ValueError, match="'eta'"):  # a field without a default
@@ -327,11 +327,21 @@ def test_cli_json_input_that_misses_a_key_exits_2(tmp_path, command, payload, me
      "names a 'override'"),
     ({"tester": "pt_small", "grid": [{"n": 8, "epsilon": 0.3, "instnace": "paired_far"}]},
      "names a 'instnace'"),
+    ({"tester": "pt_small", "grid": [{"n": 8, "epsilon": 0.3, "beta": 5.0}]}, "names a 'beta'"),
+    ({"tester": "pt_small", "grid": [{"n": 8, "epsilon": 0.3, "gamma": 1.0}]},
+     "names a 'gamma'"),
+    ({"tester": "pt_large", "grid": [{"n": 8, "epsilon": 0.3, "c_small": 4.0}]},
+     "names a 'c_small'"),
+    ({"tester": "cc", "grid": [{"n": 64, "epsilon": 0.3, "eta": 0.5, "instance": "interval_far",
+                                "width": True}]}, "width must be an integer >= 1"),
+    ({"tester": "cc", "grid": [{"n": 64, "epsilon": 0.3, "eta": 0.5, "instance": "interval_far",
+                                "width": 2.5}]}, "width must be an integer >= 1"),
 ], ids=["grid_5", "grid_of_5", "pt_large_beta_nan", "cc_beta_nan", "cc_c_negative",
         "pt_small_c_string", "pt_large_beta_true", "cc_c_true", "cc_eta_true", "cc_eta_string",
         "pt_large_mode", "pt_small_mode", "pt_large_n_half", "pt_small_n_half", "cc_n_half",
         "pt_large_n_0", "pt_small_n_0", "pt_small_n_true", "cc_bias", "cc_override_string",
-        "cc_gamma", "pt_large_graph", "pt_large_eta", "pt_small_override", "pt_small_typo"])
+        "cc_gamma", "pt_large_graph", "pt_large_eta", "pt_small_override", "pt_small_typo",
+        "pt_small_beta", "pt_small_gamma", "pt_large_c_small", "cc_width_true", "cc_width_half"])
 def test_cli_experiment_bad_grid_or_constant_exits_2(tmp_path, capsys, spec, message):
     # the grids and the string c and eta exited 1 with a TypeError traceback; beta=NaN
     # accepted every far trial, c=-1 ran at m=1, the bools ran at 1.0, and the mode
@@ -538,9 +548,19 @@ def test_a_point_may_name_every_key_its_tester_reads():
     common = {"n": 8, "epsilon": 0.3, "m": 40, "c": 1.0, "instance": "interval_far", "width": 2}
     _setup("cc", dict(common, eta=0.5, alpha=20.0, beta=40.0, L=0.1, graph="path",
                       override=True))
-    for tester in ("pt_large", "pt_small"):
-        _setup(tester, dict(common, alpha=20.0, beta=0.0025, gamma=3.3, c_m=5.0, c_small=4.0,
-                            bias=0.4))
+    _setup("pt_large", dict(common, alpha=20.0, beta=0.0025, gamma=3.3, c_m=5.0, bias=0.4))
+    _setup("pt_small", dict(common, c_small=4.0, bias=0.4))
+
+
+@pytest.mark.parametrize("width", [True, 2.5, 0, 16])
+def test_interval_far_width_is_an_integer_below_n(width):
+    # width true ran at width 1 and width 2.5 raised IndexError
+    with pytest.raises(ValueError, match="width must be"):
+        interval_far_distribution(16, 0.3, 1, width)
+    spec = ExperimentSpec("cc", [{"n": 16, "epsilon": 0.3, "eta": 0.5, "instance": "interval_far",
+                                  "width": width}], 2, 1)
+    with pytest.raises(ValueError, match="width must be"):
+        estimate_acceptance(spec)
 
 
 def test_instance_generators_check_epsilon_and_first(capsys):

@@ -134,6 +134,12 @@ def test_relative_concentration_rejects_bad_weights(side, case):
         relative_concentration(p, q, 1e-3)
 
 
+def test_relative_concentration_rejects_an_unknown_kind():
+    # "cylce" ran the path scan
+    with pytest.raises(ValueError, match="kind must be 'path' or 'cycle'"):
+        relative_concentration(np.full(4, 0.1), np.full(4, 0.1), 1e-3, kind="cylce")
+
+
 def test_relative_concentration_rejects_unequal_lengths():
     with pytest.raises(ValueError, match="q must have length 3, got 4"):
         relative_concentration(np.full(3, 0.1), np.full(4, 0.1), 1e-3)
@@ -229,14 +235,29 @@ def one_shot_interval_scan(p, q, t, cycle):
             int(wd) + 1)
 
 
+def tied_tables(n, rng):
+    """(p, q, t) whose tables tie across many cells."""
+    p = rng.random(n) * (0.5 / n)
+    q = rng.random(n) * (0.5 / n)
+    yield np.full(n, 0.5 / n), np.full(n, 0.5 / n), 0.05  # rows differ only by round-off
+    yield np.zeros(n), q, 0.05  # every ratio and every witness mass is 0
+    yield p, np.zeros(n), 0.05  # every interval is a witness
+    yield p, q, 0.5 * float(q.min())  # only single vertices are witnesses
+    yield p, q, 2.0 * float(q.sum())  # every interval is a witness, on the path too
+
+
 @pytest.mark.parametrize("cells", [None, 1, 40])
 @pytest.mark.parametrize("cycle", [True, False])
 def test_blocked_interval_scan_equals_the_one_shot_table(cells, cycle, monkeypatch):
-    # None keeps the shipped block size: one block up to n=128, several at n=200 and 512
+    # None keeps the shipped sizes: the whole table below n=320, and bands of
+    # lengths pruned by their bounds from there on; 1 and 40 prune every table of
+    # more than one vertex, in spans of rows of which some are read whole, and
+    # read the live bands in many blocks
     if cells is not None:
         monkeypatch.setattr(_kernels, "_SCAN_CELLS", cells)
+        monkeypatch.setattr(_kernels, "_PRUNE_FROM", 2)
     rng = np.random.default_rng([151, cycle, cells or 0])
-    for n in (1, 2, 7, 32, 128, 200, 512):
+    for n in (1, 2, 7, 32, 128, 200, 512, 1024, 2048):
         for trial in range(4 if n < 200 else 2):
             p = rng.random(n)
             p *= rng.uniform(0.3, 0.7) / p.sum()
@@ -249,6 +270,12 @@ def test_blocked_interval_scan_equals_the_one_shot_table(cells, cycle, monkeypat
             t = float(rng.uniform(1e-4, 0.1))
             got = _kernels.interval_scan(p, q, t, cycle)
             assert got == one_shot_interval_scan(p, q, t, cycle), (n, trial)
+    # p zero and all-equal masses prune nothing and are read whole; a table that
+    # prunes little costs a block per live band at 1 and 40 cells
+    for n in (7, 200, 2048) if cells is None else (7, 200):
+        for case, (p, q, t) in enumerate(tied_tables(n, rng)):
+            got = _kernels.interval_scan(p, q, t, cycle)
+            assert got == one_shot_interval_scan(p, q, t, cycle), (n, case)
     zeros = np.zeros(9)  # every interval ties at 0: the first one wins
     assert _kernels.interval_scan(zeros, zeros, 0.1, cycle) == (0.0, 0, 1, 0.0, 0, 1)
 
