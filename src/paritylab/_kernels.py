@@ -9,11 +9,12 @@ that wins on block strings of few long runs (at N=16384, below about 64
 runs per string; at N=1024, below about 8).  `levenshtein` picks one by a
 cost rule on the lengths and run counts.  `bit_runs` is the one run
 extractor.  `interval_scan` reads an (n, n) table of interval masses as
-sliding windows of prefix sums; from n=320 on it bounds bands of interval
-lengths per row and reads only the bands whose bound reaches an exact
-floor, which saves as much as the masses let bands fall below it (the
-join matrix and its O(n) product behind the conjugate residual live in
-`collector`, as direct products of keeps).  All randomness is drawn by
+sliding windows of prefix sums; from n=320 on it bounds wide bands of
+interval lengths once over the whole table, halves only the bands whose
+bound reaches an exact floor, and reads the narrow ones left, which saves
+as much as the masses let bands fall below the floor (the join matrix and
+its O(n) product behind the conjugate residual live in `collector`, as
+direct products of keeps).  All randomness is drawn by
 the callers, outside the kernels.  ``perfbench/run.py`` times them in
 their callers: the DPs in the edit oracles, the scan in the conjugate
 oracles, and the bucket kernels in every cc trial.
@@ -30,12 +31,14 @@ _LABELS = np.array([[0], [1]])  # both labels as a column, against a row of run 
 # four arrays take 25 bytes a cell, 400 KB in all, so a block stays in a 2 MB L2
 # cache; 2^14 and 2^15 scanned n=512 fastest on a 2-vCPU Xeon
 _SCAN_CELLS = 1 << 14
-# band widths of `interval_scan` when it prunes: each row starts in bands of
-# _BAND lengths, halved down to the _LEAF lengths it reads.  On random masses
-# (median of 12, 2-vCPU Xeon) 64 and 8 were the fastest of the pairs tried from
-# 32 to 128 and 4 to 16 at n=1024 and 2048; at n=512, 32 and 8 took 0.72 of
-# their time, but 1.1 and 1.4 times as long at n=1024 and 2048
-_BAND, _LEAF = 64, 8
+# band widths of `interval_scan` when it prunes: the first level bounds bands of
+# _BAND lengths, and the live ones are halved down to the _LEAF lengths it reads.
+# _BAND is timed at n=512, the size perfbench prunes at (desk_large): on its random
+# masses (4 sets of 3 inputs, 12 alternating pairs each, 2-vCPU Xeon) 32 took 0.69-
+# 0.85 of the time of 64 (set medians), and was faster in 47 of the 48 pairs.
+# n >= 1024 is not a workload; there 32 took 0.8-0.9 of the time of 64 at n=1024
+# and 1.2 times as long at n=2048.
+_BAND, _LEAF = 32, 8
 _LEAF_COLS = np.arange(_LEAF)
 # the smallest n where `interval_scan` prunes: on random masses (16 per size and
 # graph, 2-vCPU Xeon) the pruned scan beat the whole table on 10 of 16 cycles at
@@ -341,14 +344,13 @@ def interval_scan(p: np.ndarray, q: np.ndarray, t: float, cycle: bool):
     Row i, column d-1 of the (n, n) table holds the interval (i, d): its
     masses are differences of prefix sums over the doubled cycle.  Below
     n = _PRUNE_FROM the table is read whole, as sliding windows, in blocks
-    of about _SCAN_CELLS cells.  From there on, each span of rows is cut
-    into bands of lengths per row, and only the cells of the bands that
-    `_live_bands` cannot rule out are read; a span whose bands prune too
-    little is read whole instead.  Every cell read is computed by the same
-    float operations either way, blocks go in row-major order and carry a
-    maximum forward only when strictly larger, and the live bands hold
-    every cell that ties a maximum, so the 6-tuple is the whole table's,
-    ties included.
+    of about _SCAN_CELLS cells.  From there on, each span of rows reads only
+    the _LEAF-wide bands of lengths that `_live_bands` cannot rule out, or
+    the rows whole when it gives up.  Every cell read is computed by the
+    same float operations either way, blocks go in row-major order and
+    carry a maximum forward only when strictly larger, and the live bands
+    hold every cell that ties a maximum, so the 6-tuple is the whole
+    table's, ties included.
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -360,9 +362,6 @@ def interval_scan(p: np.ndarray, q: np.ndarray, t: float, cycle: bool):
     # on the path, interval (i, d) runs past vertex n-1 exactly when i + d > n
     outside = None if cycle else _windows(np.arange(2 * n - 1) >= n, n)
     step = max(1, _SCAN_CELLS // n)  # rows of a block of whole rows
-    psum = np.empty((min(step, n), n))
-    den, ratio = np.empty_like(psum), np.empty_like(psum)
-    over = np.empty(psum.shape, dtype=np.bool_)
     spans = [(0, n, None)]
     if n >= _PRUNE_FROM:
         # pad with the last prefix sums, which keeps them non-decreasing, so a
@@ -377,12 +376,10 @@ def interval_scan(p: np.ndarray, q: np.ndarray, t: float, cycle: bool):
     for i0, i1, live in spans:
         if live is None:  # the rows whole
             for k in range(i0, i1, step):
-                m = min(step, i1 - k)
-                ps, dn, ra, ov = psum[:m], den[:m], ratio[:m], over[:m]
-                np.subtract(pend[k:k + m], pc[k:k + m, None], out=ps)
-                np.subtract(qend[k:k + m], qc[k:k + m, None], out=dn)
-                _score(ps, dn, t, None if cycle else outside[k:k + m], ra, ov)
-                best = _carry_argmax(best, ra, k)
+                b = slice(k, min(k + step, i1))
+                ps = pend[b] - pc[b, None]
+                ratio = _score(ps, qend[b] - qc[b, None], t, None if cycle else outside[b])
+                best = _carry_argmax(best, ratio, k)
                 witness = _carry_argmax(witness, ps, k)
         else:  # the live bands, _SCAN_CELLS // _LEAF a block
             best, witness = _read_bands(best, witness, pc, qc, t, last, *live)
@@ -399,26 +396,24 @@ def _read_bands(best, witness, pc: np.ndarray, qc: np.ndarray, t: float, last: n
     for k in range(0, rows.size, step):
         r, d = rows[k:k + step], lo[k:k + step]
         ps = pw[r + d] - pc[r, None]
-        dn = qw[r + d - 1] - qc[r, None]
-        ratio, over = np.empty_like(ps), np.empty(ps.shape, dtype=np.bool_)
-        _score(ps, dn, t, d[:, None] + _LEAF_COLS > last[r, None], ratio, over)
+        ratio = _score(ps, qw[r + d - 1] - qc[r, None], t, d[:, None] + _LEAF_COLS > last[r, None])
         best = _carry_argmax(best, ratio, r, d)
         witness = _carry_argmax(witness, ps, r, d)
     return best, witness
 
 
-def _score(ps: np.ndarray, dn: np.ndarray, t: float, outside, ratio: np.ndarray,
-           over: np.ndarray) -> None:
-    """Write a block's ratios ps/max(dn, t) to `ratio`, and its witness masses
-    (ps where dn <= t) over its p-sums `ps`, from its q-sums `dn`; a cell
-    where `outside` holds is -inf in both.  `dn` and `over` are scratch."""
+def _score(ps: np.ndarray, dn: np.ndarray, t: float, outside) -> np.ndarray:
+    """The ratios ps/max(dn, t) of a block from its p-sums `ps` and q-sums
+    `dn`; `ps` becomes its witness masses, -inf where dn > t, and `dn` is
+    scratch.  A cell where `outside` holds is -inf in both."""
     np.maximum(dn, t, out=dn)
-    np.not_equal(dn, t, out=over)  # q[I*] > t
-    np.divide(ps, dn, out=ratio)
+    over = dn != t  # q[I*] > t
+    ratio = ps / dn
     if outside is not None:
         np.copyto(ratio, -np.inf, where=outside)
         over |= outside
     np.copyto(ps, -np.inf, where=over)
+    return ratio
 
 
 def _floor(pc: np.ndarray, qc: np.ndarray, t: float, last: np.ndarray) -> float:
@@ -452,46 +447,34 @@ def _live_bands(pc: np.ndarray, qc: np.ndarray, t: float, last: np.ndarray, floo
     B = fl(psum(i, hi) / max(qsum(i, lo), t)).  A witness cell there has
     qsum <= t, so qsum(i, lo) <= t and B = fl(psum(i, hi) / t) is at least
     fl(w / t) for its p-sum w.  A band is dropped only when B is strictly
-    below the `_floor`, so every cell that ties either maximum stays.  Bands
-    start _BAND lengths wide and are halved down to _LEAF, and each level
-    drops what it can: over the whole grid of a width while more than a
-    quarter of its bands are live, where that costs less than gathering the
-    live ones, and over the gathered live bands after.
+    below the `_floor`, so every cell that ties either maximum stays.  The
+    first level bounds the _BAND-wide bands over the whole grid of the rows;
+    each level after halves the live bands, gathered, down to _LEAF.  A
+    band's bound is at least the bound of each of its halves, so a leaf is
+    kept exactly when its own bound reaches the floor and its lengths start
+    inside the row.
     """
-    n, w, keep = last.size, _BAND, None
-    while True:  # a level over the whole grid of rows i0..i1-1 and lo = 1 + w*j
-        bands = (n + w - 1) // w
-
-        def grid(c, at):  # c[at:][i - i0 + w*j]: pc[i + lo + w - 1] at i0 + w
-            return as_strided(c[at:], (i1 - i0, bands), (c.strides[0], c.strides[0] * w))
-
-        live = ((grid(pc, i0 + w) - pc[i0:i1, None])
-                / np.maximum(grid(qc, i0) - qc[i0:i1, None], t) >= floor)
-        live &= np.arange(1, n + 1, w) <= last[i0:i1, None]
-        if keep is None:
-            cap = live.size - live.size // 16
-        else:  # the halves of the bands the level above kept
-            live &= np.repeat(keep, 2, axis=1)[:, :bands]
-        kept = np.count_nonzero(live)
-        if kept > cap:
-            return None
-        keep = live
-        if w == _LEAF or 4 * kept <= live.size:
-            break
-        w //= 2
-    rows, j = np.nonzero(keep)
+    n, w = last.size, _BAND
+    shape = (i1 - i0, (n + w - 1) // w)
+    # at row i and band j, of lengths from lo = 1 + w*j: pc[i + lo + w - 1] and qc[i + lo - 1]
+    ends, starts = (as_strided(c[at:], shape, (c.strides[0], c.strides[0] * w))
+                    for c, at in ((pc, i0 + w), (qc, i0)))
+    live = (ends - pc[i0:i1, None]) / np.maximum(starts - qc[i0:i1, None], t) >= floor
+    live &= np.arange(1, n + 1, w) <= last[i0:i1, None]
+    cap = live.size - live.size // 16
+    rows, j = np.nonzero(live)
     rows, lo = rows + i0, 1 + w * j
-    while w > _LEAF:  # levels over the live bands only, gathered
+    while rows.size <= cap:
+        if w == _LEAF:
+            return rows, lo
         w //= 2
         rows, lo = np.repeat(rows, 2), (lo[:, None] + (0, w)).ravel()
         start = rows + lo - 1
         ps = pc[start + w] - pc[rows]  # at length lo + w - 1, even past `last`: still a bound
         keep = ps / np.maximum(qc[start] - qc[rows], t) >= floor
         keep &= lo <= last[rows]
-        if np.count_nonzero(keep) > cap:
-            return None
         rows, lo = rows[keep], lo[keep]
-    return rows, lo
+    return None
 
 
 def _windows(x: np.ndarray, n: int) -> np.ndarray:

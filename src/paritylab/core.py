@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 _MASS_TOL = 1e-9
+_MAX_MASS = 1 + 1e-12  # the most a partial distribution may carry: 1, up to round-off
 
 
 def _check_epsilon(epsilon) -> None:
@@ -87,6 +88,14 @@ def _weights(x, name: str, size: int | None = None) -> np.ndarray:
     return w
 
 
+def _finite(x, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """`x` as a float64 array, or ValueError unless it has `shape` and only finite entries."""
+    a = np.asarray(x, dtype=np.float64)
+    if a.shape != shape or not np.isfinite(a).all():
+        raise ValueError(f"{name} must be a finite array of shape {shape}")
+    return a
+
+
 @dataclass(frozen=True)
 class PartialDistribution:
     """Non-negative weights over Z_n with total mass at most 1."""
@@ -96,7 +105,7 @@ class PartialDistribution:
     def __post_init__(self):
         w = _weights(self.weights, "weights")
         object.__setattr__(self, "weights", w)
-        if w.sum() > 1 + 1e-12:
+        if w.sum() > _MAX_MASS:
             raise ValueError(f"total mass {w.sum()} exceeds 1")
 
     @property

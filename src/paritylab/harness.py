@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
@@ -85,11 +86,13 @@ def domino_instance(n: int, epsilon: float, yes: bool, seed) -> DominoInstance:
     return DominoInstance(pair, epsilon, choices[0], False)
 
 
-def _check_paired(n: int, epsilon: float) -> None:
+def _check_paired(n: int, bias: float) -> None:
+    """Raise ValueError unless n is even and the pair bias is a real number in
+    [0,1] that is not a bool; NaN fails the comparison."""
     if n % 2:
         raise ValueError("the paired construction needs even n")
-    if not (0 <= epsilon <= 1):
-        raise ValueError("epsilon must lie in [0,1]")
+    if isinstance(bias, bool) or not (isinstance(bias, numbers.Real) and 0 <= bias <= 1):
+        raise ValueError(f"the pair bias must be a real number in [0,1], got {bias!r}")
 
 
 def _paired_far_rows(n: int, epsilon: float, seed, rows: int):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from .collector import BaseGraph, _join_product, _keep_probs, _row_chunks, _subgraph_labels
-from .core import _check_positive, _check_size, _weights
+from .core import _MAX_MASS, _check_positive, _check_size, _finite, _weights
 from .rng import generator
 
 __all__ = [
@@ -68,13 +68,14 @@ def uniform_conjugate(q, m: float, p=None) -> ConjugateReport:
 
     has total mass 1 - |q|_1 and satisfies (phi p~)_i = tau up to 4*n*xi
     where xi = e^(-m|q|_1) / (1 - e^(-m|q|_1))^2.  The residual takes phi p~
-    from the O(n) join product, not from the n x n matrix.
+    from the O(n) join product, not from the n x n matrix.  |q|_1 must lie
+    in (0, 1], up to `PartialDistribution`'s round-off.
     """
     qw = _weights(q, "q")
     _check_positive(m, "m")
     q_mass = float(qw.sum())
-    if q_mass <= 0:
-        raise ValueError("q must carry positive mass")
+    if not 0 < q_mass <= _MAX_MASS:
+        raise ValueError(f"q must carry a total mass in (0, 1], got {q_mass}")
     tau = (1.0 - q_mass) / float(np.sum(np.tanh(m * qw / 2.0)))
     keep = np.exp(-m * qw)
     sig = 1.0 / (1.0 + keep)
@@ -86,14 +87,6 @@ def uniform_conjugate(q, m: float, p=None) -> ConjugateReport:
     if p is not None:
         z = _weights(p, "p", qw.size) - p_tilde
     return ConjugateReport(p_tilde=p_tilde, tau=tau, xi=xi, residual=residual, z=z)
-
-
-def _finite(x, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """`x` as a float64 array, or ValueError unless it has `shape` and only finite entries."""
-    a = np.asarray(x, dtype=np.float64)
-    if a.shape != shape or not np.isfinite(a).all():
-        raise ValueError(f"{name} must be a finite array of shape {shape}")
-    return a
 
 
 def simulated_bucket_means(q, values, m: float, trials: int, seed) -> np.ndarray:
@@ -123,7 +116,7 @@ def relative_concentration(p, q, t: float, kind: str = "cycle") -> Concentration
     """Maximize p[I]/max(q[I*], t) over circular intervals of size <= n.
 
     Also returns a witness interval satisfying q[I*] <= t and
-    p[I] >= t * Gamma / 2, found by brute force over the same scan.
+    p[I] >= t * Gamma / 2, found by the same scan.
     `kind` is "cycle" or "path".
     """
     if kind not in ("path", "cycle"):

@@ -69,6 +69,10 @@ def test_domino_exact_masses_and_tv():
         assert tv_distance(dens, uniform_density(32)) == pytest.approx(0.5 / 4)
     with pytest.raises(ValueError):
         domino_instance(5, 0.3, False, 0)
+    for bias in (True, "0.3", None, math.nan, 1.5):  # True ran at bias 1.0
+        for yes in (True, False):
+            with pytest.raises(ValueError, match="pair bias must be a real number"):
+                domino_instance(8, bias, yes, 1)
 
 
 def test_domino_subtrace_length_poisson():
@@ -336,19 +340,27 @@ def test_cli_json_input_that_misses_a_key_exits_2(tmp_path, command, payload, me
                                 "width": True}]}, "width must be an integer >= 1"),
     ({"tester": "cc", "grid": [{"n": 64, "epsilon": 0.3, "eta": 0.5, "instance": "interval_far",
                                 "width": 2.5}]}, "width must be an integer >= 1"),
+    ({"tester": "pt_large", "grid": [{"n": 8, "epsilon": 0.3, "instance": "paired_far",
+                                      "bias": True}]}, "pair bias must be a real number"),
+    ({"tester": "pt_large", "grid": [{"n": 8, "epsilon": 0.3, "instance": "paired_far",
+                                      "bias": "0.3"}]}, "pair bias must be a real number"),
+    ({"tester": "pt_large", "grid": [{"n": 8, "epsilon": 0.3, "instance": "paired_far",
+                                      "bias": None}]}, "pair bias must be a real number"),
 ], ids=["grid_5", "grid_of_5", "pt_large_beta_nan", "cc_beta_nan", "cc_c_negative",
         "pt_small_c_string", "pt_large_beta_true", "cc_c_true", "cc_eta_true", "cc_eta_string",
         "pt_large_mode", "pt_small_mode", "pt_large_n_half", "pt_small_n_half", "cc_n_half",
         "pt_large_n_0", "pt_small_n_0", "pt_small_n_true", "cc_bias", "cc_override_string",
         "cc_gamma", "pt_large_graph", "pt_large_eta", "pt_small_override", "pt_small_typo",
-        "pt_small_beta", "pt_small_gamma", "pt_large_c_small", "cc_width_true", "cc_width_half"])
+        "pt_small_beta", "pt_small_gamma", "pt_large_c_small", "cc_width_true", "cc_width_half",
+        "pt_large_bias_true", "pt_large_bias_string", "pt_large_bias_null"])
 def test_cli_experiment_bad_grid_or_constant_exits_2(tmp_path, capsys, spec, message):
     # the grids and the string c and eta exited 1 with a TypeError traceback; beta=NaN
     # accepted every far trial, c=-1 ran at m=1, the bools ran at 1.0, and the mode
     # ran the run-length checks under a small_eps CSV column.  An n of 2.5 exited 1 with
     # a TypeError traceback, 0 exited 2 with "math domain error", and pt_small ran
     # "n": true.  Each key its tester does not read ran and was echoed in the CSV: the cc
-    # bias point ran at bias min(1, 2 eps) = 0.6, and "override": "no" with the override on
+    # bias point ran at bias min(1, 2 eps) = 0.6, and "override": "no" with the override on.
+    # A paired_far bias of true ran at 1.0, and "0.3" and null exited 1 with a TypeError
     sfile = tmp_path / "spec.json"
     sfile.write_text(json.dumps({"schema": 1, "trials": 2, "seed": 1, **spec}))
     assert main(["experiment", str(sfile)]) == 2

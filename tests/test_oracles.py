@@ -55,6 +55,10 @@ def test_conjugate_residual_bound_random():
 def test_conjugate_rejects_zero_mass():
     with pytest.raises(ValueError):
         uniform_conjugate(np.zeros(4), 5.0)
+    # a mass of 1.5 returned tau = -0.204 and a negative p~
+    with pytest.raises(ValueError, match="total mass in"):
+        uniform_conjugate([0.6, 0.6, 0.3], 5.0)
+    assert not uniform_conjugate([0.5, 0.25, 0.25], 5.0).p_tilde.any()  # mass exactly 1
 
 
 def test_conjugate_against_bucket_simulation():
@@ -278,6 +282,38 @@ def test_blocked_interval_scan_equals_the_one_shot_table(cells, cycle, monkeypat
             assert got == one_shot_interval_scan(p, q, t, cycle), (n, case)
     zeros = np.zeros(9)  # every interval ties at 0: the first one wins
     assert _kernels.interval_scan(zeros, zeros, 0.1, cycle) == (0.0, 0, 1, 0.0, 0, 1)
+
+
+def test_interval_scan_prunes_the_masses_perfbench_times(monkeypatch):
+    # the scan reads only the live bands of random masses drawn as perfbench's
+    # conjugate family draws them at n=512, and all-equal masses whole at the t of
+    # `tied_tables` and above, where too few bands fall below the floor
+    kernel, spans = _kernels._live_bands, []
+
+    def live_bands(*args):
+        spans.append(kernel(*args))
+        return spans[-1]
+
+    monkeypatch.setattr(_kernels, "_live_bands", live_bands)
+    n = 512
+    for seed in range(8):
+        rng = np.random.default_rng([seed, 0, n])
+        for _ in range(3):
+            rng.random(n), rng.uniform(0.3, 0.7), rng.uniform(8.0, 24.0)  # the conjugate's q and m
+            p = rng.random(n)
+            p *= rng.uniform(0.3, 0.7) / p.sum()
+            q = rng.random(n)
+            q *= rng.uniform(0.3, 0.7) / q.sum()
+            t = rng.uniform(1e-4, 0.1)
+            spans.clear()
+            relative_concentration(p, q, t)
+            assert spans and all(live is not None for live in spans), (seed, t)
+            cells = _kernels._LEAF * sum(rows.size for rows, _ in spans)
+            assert cells <= 0.05 * n * n, (seed, t, cells)
+    for t in (0.05, 0.1):
+        spans.clear()
+        relative_concentration(np.full(n, 0.5 / n), np.full(n, 0.5 / n), t)
+        assert spans and all(live is None for live in spans), t
 
 
 def exhaustive_gamma(p, q, t, cycle=True):
