@@ -52,6 +52,7 @@ USE_NUMBA = False
 __all__ = [
     "bucket_labels",
     "bucket_sums",
+    "bucket_moments",
     "bit_runs",
     "levenshtein",
     "alternating_fit_tables",
@@ -99,6 +100,62 @@ def bucket_sums(values: np.ndarray, labels: np.ndarray) -> np.ndarray:
     weights = np.asarray(values, dtype=np.float64).ravel()
     sums = np.bincount(flat.ravel(), weights=weights, minlength=trials * n)
     return sums.reshape(trials, n)
+
+
+def bucket_moments(ends: np.ndarray, joined: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """(top, pairs) of every row, as int64: its largest bucket sum, and the sum
+    of s(s-1) over its bucket sums s, read from the values one block at a time.
+
+    Row r of the (rows, n) bool `ends` marks the vertices that close a run of
+    row r: each vertex whose edge to the next is missing, and vertex n-1.  The
+    runs are the buckets, except that the first and the last run of a row with
+    `joined[r]` (its wrap edge survives) are one.  `blocks` yields the int64
+    values of the rows*n vertices in C order, as consecutive arrays of any
+    sizes, and each is overwritten.  A run's sum is the difference of its
+    block's cumulative sums at its ends, plus what the run held at the end of
+    the block before; a joined row's first run waits in `held` and is added to
+    its last.  Beside the per-row arrays, nothing larger than a block is made.
+    """
+    rows, n = ends.shape
+    flat = ends.reshape(-1)
+    top, pairs, held = (np.zeros(rows, dtype=np.int64) for _ in range(3))
+    any_joined = bool(joined.any())
+    start, carry, opened = 0, 0, True  # opened: the next end is the first of its row
+    for block in blocks:
+        block = block.reshape(-1)
+        stop = start + block.size
+        at = np.flatnonzero(flat[start:stop])
+        np.cumsum(block, out=block)
+        if not at.size:
+            carry += int(block[-1])
+            start = stop
+            continue
+        cum = block[at]
+        sums = np.empty_like(cum)
+        sums[0] = cum[0] + carry
+        np.subtract(cum[1:], cum[:-1], out=sums[1:])
+        carry = int(block[-1] - cum[-1])
+        # rows r0, r0+1, ... hold the ends: each row's ends run from a head to its
+        # close at vertex n-1, and the block may end inside the last row
+        r0 = (start + int(at[0])) // n
+        closes = np.searchsorted(at, np.arange((r0 + 1) * n - 1 - start, stop - start, n))
+        heads = np.concatenate(([0], closes + 1))
+        if heads[-1] == at.size:
+            heads = heads[:-1]
+        here = slice(r0, r0 + heads.size)
+        if any_joined:
+            # a joined row of one run holds it back and adds it again: the same run
+            first = joined[here].copy()
+            first[0] &= opened
+            held[here][first] = sums[heads[first]]
+            sums[heads[first]] = 0
+            last = joined[r0 : r0 + closes.size]
+            sums[closes[last]] += held[r0 : r0 + closes.size][last]
+        opened = closes.size == heads.size
+        np.maximum(top[here], np.maximum.reduceat(sums, heads), out=top[here])
+        pairs[here] += np.add.reduceat(sums * (sums - 1), heads)
+        start = stop
+    return top, pairs
 
 
 # ---------------------------------------------------------------------------

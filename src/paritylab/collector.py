@@ -11,10 +11,11 @@ against its closed-form expectation under the uniform distribution plus a
 margin, after first rejecting anything with a suspiciously large bucket
 count.
 
-It is the one bucket-collision engine: `_confused_draw` draws for every cc
-caller, `_row_chunks` sizes every Monte Carlo loop and grid point in cells,
-and `_collision_check` checks cc and, by the necklace reduction, each
-parity-trace symbol class.  `phi_from_keep_probs` is the one builder of an
+It is the one bucket-collision engine: `_confused_draw` draws every cc trial
+and reduces it, block by block and with no labels, to the two numbers the
+tester reads, the largest bucket count and sum x(x-1); `_row_chunks` sizes
+every Monte Carlo loop and grid point in cells, and `_collision_check`
+checks cc and, by the necklace reduction, each parity-trace symbol class.  `phi_from_keep_probs` is the one builder of an
 expected join matrix: `phi_expected` (constant eta) and `parity.phi_mu`
 (constant keep exp(-m/2n) on the necklace) are it at a constant keep
 vector; `_join_product` multiplies by the matrix in O(n) without
@@ -25,6 +26,7 @@ vertex 0 for both.  The samplers and oracles run at a constant eta.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -113,10 +115,16 @@ def _keep_probs(graph: BaseGraph, eta: float) -> np.ndarray:
 
 
 # cells per chunk of the oracles and grid points; chunking by rows keeps a
-# generator's stream only for draws of one kind.  A chunk's float64 arrays (512 KB)
-# fit a 2 MB per-core L2 cache: with 2^19 cells, a cc grid point of 8 trials at
-# n=65536 ran about 35% slower than 8 single trials on a 2-vCPU Xeon.
+# generator's stream only for draws of one kind.  An oracle's or a pt chunk's
+# float64 arrays (512 KB) fit a 2 MB per-core L2 cache: with 2^19 cells, a grid
+# point of 8 trials at n=65536 ran about 35% slower than 8 single trials on a
+# 2-vCPU Xeon.  A cc chunk holds its bool edge mask and a far instance's masses.
 _CHUNK_CELLS = 1 << 16
+# cells of each block a cc chunk draws and reduces: 64 KiB of int64 counts, under
+# glibc's default 128 KiB mmap threshold, so blocks reuse heap memory.  The chunk-
+# sized labels, float counts and bincount they replace were mapped afresh: about
+# 670 minor faults per 2-trial uniform cc point at n=65536, under 1 with blocks.
+_BLOCK_CELLS = 1 << 13
 
 
 def _row_chunks(trials: int, cells: int):
@@ -126,26 +134,68 @@ def _row_chunks(trials: int, cells: int):
         yield min(step, trials - start)
 
 
+def _blocks(rows: int, cols: int):
+    """(index, shape) of the consecutive blocks of a (rows, cols) array in C
+    order, of at most _BLOCK_CELLS cells: runs of whole rows, or pieces of one row."""
+    per = _BLOCK_CELLS // cols
+    if per:
+        for r in range(0, rows, per):
+            k = min(per, rows - r)
+            yield (slice(r, r + k), slice(None)), (k, cols)
+    else:
+        for r in range(rows):
+            for c in range(0, cols, _BLOCK_CELLS):
+                k = min(_BLOCK_CELLS, cols - c)
+                yield (r, slice(c, c + k)), (k,)
+
+
 def _subgraph_labels(rng, keep_p: np.ndarray, n: int, cycle: bool, rows: int) -> np.ndarray:
     """Bucket labels of `rows` random subgraphs; edge j survives with keep_p[j]."""
     return _kernels.bucket_labels(rng.random((rows, keep_p.size)) < keep_p, n, cycle)
 
 
-def _confused_draw(rng, graph: BaseGraph, keep_p: np.ndarray, m: float, masses, rows: int):
-    """(labels, x) of `rows` confused-collector draws; x[i, b] counts bucket b of draw i.
+def _subgraph_ends(rng, keep: float, graph: BaseGraph, rows: int):
+    """(ends, joined) of `rows` random subgraphs, as `_kernels.bucket_moments`
+    reads them; every edge survives with probability `keep`.  The uniforms
+    are those of `_subgraph_labels`, drawn in blocks into one buffer."""
+    ends = np.ones((rows, graph.n), dtype=np.bool_)
+    broken = ends[:, : graph.n_edges]
+    buf = np.empty(_BLOCK_CELLS)
+    for index, shape in _blocks(rows, graph.n_edges):
+        u = buf[: math.prod(shape)].reshape(shape)
+        rng.random(out=u)
+        np.greater_equal(u, keep, out=broken[index])
+    # on the path vertex n-1 has no edge, and the run it closes joins no other
+    joined = ~ends[:, -1] if graph.is_cycle else np.zeros(rows, dtype=np.bool_)
+    ends[:, -1] = True
+    return ends, joined
 
-    The stream runs: all edge masks, then `masses(rows)` (distributions
+
+def _count_blocks(rng, m: float, pw, rows: int, n: int):
+    """Poisson(m * mass) counts of (rows, n) cells, block by block in C order:
+    the draws of one call, as numpy draws an array rate one cell at a time."""
+    if isinstance(pw, float):
+        return (rng.poisson(m * pw, size=shape) for _, shape in _blocks(rows, n))
+    rates = np.broadcast_to(pw, (rows, n))
+    return (rng.poisson(m * rates[index]) for index, _ in _blocks(rows, n))
+
+
+def _confused_draw(rng, graph: BaseGraph, keep: float, m: float, masses, rows: int):
+    """(top, pairs) of `rows` confused-collector draws, as int64: per draw, its
+    largest bucket count and the sum of x(x-1) over its bucket counts x.
+
+    The stream runs: all edge masks (every edge kept with probability
+    `keep`), then `masses(rows)` (distributions
     over Z_n: one shared row, one row per draw, or a float, the one mass of
     every vertex), then Poisson(m * mass) counts.  A float draws the counts
-    of the array of its value, one cell at a time in C order.
+    of the array of its value, one cell at a time in C order.  The counts are
+    reduced block by block as they are drawn, with no labels.
     """
-    labels = _subgraph_labels(rng, keep_p, graph.n, graph.is_cycle, rows)
+    ends, joined = _subgraph_ends(rng, keep, graph, rows)
     pw = masses(rows)
     if not isinstance(pw, float) and np.shape(pw)[-1:] != (graph.n,):
         raise ValueError("distribution and graph sizes differ")
-    counts = rng.poisson(m * pw, size=(rows, graph.n))
-    # labels run over 0..k-1, so the columns past the largest k hold only zeros
-    return labels, _kernels.bucket_sums(counts, labels)[:, : labels.max() + 1]
+    return _kernels.bucket_moments(ends, joined, _count_blocks(rng, m, pw, rows, graph.n))
 
 
 def sample_confused(p, m: float, graph: BaseGraph, eta: float, seed):
@@ -157,29 +207,36 @@ def sample_confused(p, m: float, graph: BaseGraph, eta: float, seed):
     draw.
     """
     pw = np.asarray(getattr(p, "weights", p), dtype=np.float64)
-    labels, x = _confused_draw(generator(seed), graph, _keep_probs(graph, eta), m,
-                               lambda rows: pw, 1)
-    return labels[0], x[0].astype(np.int64)
+    keep_p = _keep_probs(graph, eta)
+    if np.shape(pw)[-1:] != (graph.n,):
+        raise ValueError("distribution and graph sizes differ")
+    rng = generator(seed)
+    labels = _subgraph_labels(rng, keep_p, graph.n, graph.is_cycle, 1)[0]
+    counts = rng.poisson(m * pw, size=(1, graph.n))[0]
+    return labels, np.bincount(labels, weights=counts).astype(np.int64)
 
 
 def confused_trials(p, m: float, graph: BaseGraph, eta: float, trials: int, seed):
     """Monte Carlo batch of (Y, max bucket count) over fresh (H, sample) draws."""
     pw = np.asarray(getattr(p, "weights", p), dtype=np.float64)
+    _check_eta(eta)
     rng = generator(seed)
-    keep_p = _keep_probs(graph, eta)
     ys, maxx = np.empty(trials), np.empty(trials)
     start = 0
     for rows in _row_chunks(trials, graph.n):
-        _, x = _confused_draw(rng, graph, keep_p, m, lambda rows: pw, rows)
-        ys[start : start + rows] = _pair_sums(x) / m
-        maxx[start : start + rows] = x.max(axis=1, initial=0.0)
+        top, pairs = _confused_draw(rng, graph, 1.0 - eta, m, lambda rows: pw, rows)
+        ys[start : start + rows] = pairs / m
+        maxx[start : start + rows] = top
         start += rows
     return ys, maxx
 
 
+@functools.lru_cache(maxsize=64)
 def _join_sum(n: int, nu: float, cycle: bool) -> float:
     """Sum of all entries of the join matrix of n vertices whose edges all
-    survive with probability nu, in closed form."""
+    survive with probability nu: in closed form on the cycle, and on the path
+    a sum over n-1 powers, whose subnormal tail cost 4.6 ms at n=65536 and
+    nu=0.5 once per chunk, so the value is kept per (n, nu, cycle)."""
     if cycle:
         if nu == 0.0:
             return float(n)
@@ -330,29 +387,31 @@ def _pair_sums(x: np.ndarray) -> np.ndarray:
     return pairs.sum(axis=-1)
 
 
-def _collision_check(x: np.ndarray, m: float, n: int, d: int, nu: float, cycle: bool,
+def _collision_check(pairs, m: float, n: int, d: int, nu: float, cycle: bool,
                      alpha: float, margin: float):
-    """(max_x, Y, threshold_max, threshold) of bucket counts x, over the last axis.
+    """(Y, threshold_max, threshold) of rows whose sums of x(x-1) over their
+    counts x are `pairs`.
 
-    Y = sum x(x-1)/m fails at the null mean (m/d^2)*sum(phi) plus `margin`, and
-    max_x at alpha*log(n).  By the necklace reduction it serves cc (d = n,
-    nu = 1 - eta) and each parity-trace symbol class (d = 2n, nu = exp(-m/2n)).
-    Sampled counts are integer-valued floats, so the sums are exact in any order.
+    Y = pairs/m fails at the null mean (m/d^2)*sum(phi) plus `margin`, and the
+    largest count at alpha*log(n).  By the necklace reduction it serves cc
+    (d = n, nu = 1 - eta) and each parity-trace symbol class (d = 2n,
+    nu = exp(-m/2n)).  Sampled counts are integers, so the sums are exact in
+    any order.
     """
     threshold = (m / d**2) * _join_sum(n, nu, cycle) + margin
-    return x.max(axis=-1, initial=0.0), _pair_sums(x) / m, alpha * math.log(n), threshold
+    return pairs / m, alpha * math.log(n), threshold
 
 
 _CC_STEPS = ("none", "concentration", "collision")
 
 
-def _cc_rows(x, config: CCTesterConfig, n: int, m: float, graph: BaseGraph,
+def _cc_rows(top, pairs, config: CCTesterConfig, n: int, m: float, graph: BaseGraph,
              override_range_check: bool):
-    """The two checks of `test_uniformity_cc` on every row of bucket counts `x`.
+    """The two checks of `test_uniformity_cc` on rows of bucket counts, given
+    by their largest count `top` and their sum of x(x-1) `pairs`.
 
-    Returns (step, max_count, Y, threshold_max, threshold), where step[i]
-    indexes _CC_STEPS.  Empty buckets change neither statistic, so a row may
-    hold one entry per vertex.
+    Returns (step, Y, threshold_max, threshold), where step[i] indexes
+    _CC_STEPS.
     """
     if not config.eta_in_range(n) and not override_range_check:
         raise ValueError(
@@ -362,14 +421,27 @@ def _cc_rows(x, config: CCTesterConfig, n: int, m: float, graph: BaseGraph,
     if graph.n != n:
         raise ValueError("graph and domain sizes differ")
     _check_positive(m, "m")
-    # max and min propagate NaN, so these reductions catch NaN, +-inf and negatives
-    if not (math.isfinite(x.max(initial=0.0)) and x.min(initial=0.0) >= 0):
-        raise ValueError("bucket counts must be finite and non-negative")
-    max_x, y, threshold_max, threshold = _collision_check(
-        x, m, n, n, 1.0 - config.eta, graph.is_cycle, config.alpha,
+    y, threshold_max, threshold = _collision_check(
+        pairs, m, n, n, 1.0 - config.eta, graph.is_cycle, config.alpha,
         config.beta * (m / n) * config.epsilon**2 * config.eta)
-    step = np.where(max_x >= threshold_max, 1, 2 * (y >= threshold))
-    return step, max_x, y, threshold_max, threshold
+    step = np.where(top >= threshold_max, 1, 2 * (y >= threshold))
+    return step, y, threshold_max, threshold
+
+
+def _cc_verdict(top, pairs, config: CCTesterConfig, n: int, m: float, graph: BaseGraph,
+                override_range_check: bool) -> Verdict:
+    """The verdict of `test_uniformity_cc` on row 0 of the (top, pairs) `_cc_rows` reads."""
+    step, y, threshold_max, threshold = _cc_rows(top, pairs, config, n, m, graph,
+                                                 override_range_check)
+    fired = _CC_STEPS[step[0]]
+    stats = {"max_count": float(top[0]), "m": m, "n": n}
+    params = {"alpha": config.alpha, "beta": config.beta, "c": config.c,
+              "epsilon": config.epsilon, "eta": config.eta, "graph": graph.kind}
+    if fired == "concentration":
+        stats["threshold_max"] = threshold_max
+    else:
+        stats.update({"Y": float(y[0]), "threshold": threshold})
+    return Verdict(fired == "none", fired, stats, params)
 
 
 def test_uniformity_cc(x_counts, config: CCTesterConfig, n: int, m: float,
@@ -385,14 +457,9 @@ def test_uniformity_cc(x_counts, config: CCTesterConfig, n: int, m: float,
     if graph is None:
         graph = BaseGraph("cycle", n)
     x = np.asarray(x_counts, dtype=np.float64).reshape(1, -1)
-    step, max_x, y, threshold_max, threshold = _cc_rows(x, config, n, m, graph,
-                                                        override_range_check)
-    fired = _CC_STEPS[step[0]]
-    stats = {"max_count": float(max_x[0]), "m": m, "n": n}
-    params = {"alpha": config.alpha, "beta": config.beta, "c": config.c,
-              "epsilon": config.epsilon, "eta": config.eta, "graph": graph.kind}
-    if fired == "concentration":
-        stats["threshold_max"] = threshold_max
-    else:
-        stats.update({"Y": float(y[0]), "threshold": threshold})
-    return Verdict(fired == "none", fired, stats, params)
+    # max and min propagate NaN, so these reductions catch NaN, +-inf and negatives;
+    # empty buckets change neither statistic, so x may hold one entry per vertex
+    top = x.max(axis=1, initial=0.0)
+    if not (math.isfinite(top[0]) and x.min(initial=0.0) >= 0):
+        raise ValueError("bucket counts must be finite and non-negative")
+    return _cc_verdict(top, _pair_sums(x), config, n, m, graph, override_range_check)

@@ -24,10 +24,9 @@ from .collector import (
     BaseGraph,
     CCTesterConfig,
     _cc_rows,
+    _cc_verdict,
     _confused_draw,
-    _keep_probs,
     _row_chunks,
-    test_uniformity_cc,
 )
 from . import _kernels
 from .core import (PartialDistribution, PartialDistributionPair, _check_epsilon, _check_positive,
@@ -87,10 +86,15 @@ def domino_instance(n: int, epsilon: float, yes: bool, seed) -> DominoInstance:
 
 
 def _check_paired(n: int, bias: float) -> None:
-    """Raise ValueError unless n is even and the pair bias is a real number in
-    [0,1] that is not a bool; NaN fails the comparison."""
+    """Raise ValueError unless n is even and `_check_bias` passes."""
     if n % 2:
         raise ValueError("the paired construction needs even n")
+    _check_bias(bias)
+
+
+def _check_bias(bias: float) -> None:
+    """Raise ValueError unless the pair bias is a real number in [0,1] that is
+    not a bool; NaN fails the comparison."""
     if isinstance(bias, bool) or not (isinstance(bias, numbers.Real) and 0 <= bias <= 1):
         raise ValueError(f"the pair bias must be a real number in [0,1], got {bias!r}")
 
@@ -235,7 +239,8 @@ def _setup(tester: str, point: dict):
     names, and "c" sets its sample-size constant; m is the point's "m", or
     the tester's formula when it has none.  A key the tester does not read
     (a config field it ignores, such as pt_small's "beta", or a "mode": the
-    tester names the branch), a non-bool "override", a config field without
+    tester names the branch), a non-bool "override", a "bias" that is not a
+    real number in [0,1] (on any instance), a config field without
     a default that the point does not name, an "epsilon" outside (0,2], an
     "n" that is not an integer >= 1, or an "m" that is not a positive finite
     real raises ValueError, as does a pt_small "m" that is not a whole
@@ -247,6 +252,8 @@ def _setup(tester: str, point: dict):
             raise ValueError(f"grid point {point} names a {key!r}, which {tester} does not read")
     if not isinstance(point.get("override", False), bool):
         raise ValueError(f"grid point {point} needs a bool 'override'")
+    if "bias" in point:  # every instance echoes it, though only paired_far reads it
+        _check_bias(point["bias"])
     kwargs = {name: point[name] for name in cls.__dataclass_fields__ if name in point}
     if "c" in point:
         kwargs[c_field] = point["c"]
@@ -269,11 +276,12 @@ def _setup(tester: str, point: dict):
 # `inst` (a generator or a seed) instances; a point passes its one generator as both.
 
 def _cc_draw(point: dict, cfg: CCTesterConfig, graph: BaseGraph, m: float, rows: int,
-             rng, inst) -> np.ndarray:
-    """Bucket counts of `rows` cc trials, one row each."""
+             rng, inst) -> tuple[np.ndarray, np.ndarray]:
+    """(top, pairs) of `rows` cc trials: each one's largest bucket count and sum
+    of x(x-1) over its bucket counts x."""
     bias = min(1.0, 2 * point["epsilon"])
-    return _confused_draw(rng, graph, _keep_probs(graph, cfg.eta), m,
-                          lambda rows: _masses(point, inst, rows, bias), rows)[1]
+    return _confused_draw(rng, graph, 1.0 - cfg.eta, m,
+                          lambda rows: _masses(point, inst, rows, bias), rows)
 
 
 def _pt_large_draw(point: dict, m: float, rows: int, rng, inst) -> np.ndarray:
@@ -302,9 +310,8 @@ def run_cc_trial(point: dict, seed) -> Verdict:
     cfg, m = _setup("cc", point)
     graph = BaseGraph(point.get("graph", "cycle"), point["n"])
     s_inst, s_run = split_seed(seed, 2)
-    x = _cc_draw(point, cfg, graph, m, 1, generator(s_run), s_inst)[0]
-    return test_uniformity_cc(x, cfg, point["n"], m, graph,
-                              override_range_check=point.get("override", False))
+    top, pairs = _cc_draw(point, cfg, graph, m, 1, generator(s_run), s_inst)
+    return _cc_verdict(top, pairs, cfg, point["n"], m, graph, point.get("override", False))
 
 
 def run_pt_large_trial(point: dict, seed) -> Verdict:
@@ -333,8 +340,8 @@ def _cc_point(point: dict, trials: int, rng):
     n = point["n"]
     graph = BaseGraph(point.get("graph", "cycle"), n)
     for rows in _row_chunks(trials, n):
-        x = _cc_draw(point, cfg, graph, m, rows, rng, rng)
-        step, _, y, _, _ = _cc_rows(x, cfg, n, m, graph, point.get("override", False))
+        top, pairs = _cc_draw(point, cfg, graph, m, rows, rng, rng)
+        step, y, _, _ = _cc_rows(top, pairs, cfg, n, m, graph, point.get("override", False))
         fired = np.asarray(_CC_STEPS)[step]
         yield fired == "none", np.where(fired == "concentration", 0.0, y)
 

@@ -149,8 +149,9 @@ def _pt_large_rows(runs, n: int, epsilon: float, config: PTTesterConfig, m: floa
     """
     _check_epsilon(epsilon)
     x = np.asarray(runs, dtype=np.float64)
-    max_run, y, threshold_run, threshold_y = _collision_check(
-        x, m, n, 2 * n, _necklace_keep(n, m), True, config.alpha,
+    max_run = x.max(axis=-1, initial=0.0)
+    y, threshold_run, threshold_y = _collision_check(
+        _pair_sums(x), m, n, 2 * n, _necklace_keep(n, m), True, config.alpha,
         config.beta * epsilon**2 * m**2 / n**2)
     n_sym = x.sum(axis=2)
     # rows 0-5 hold the checks in order as (class, check); row 6, "none", always holds

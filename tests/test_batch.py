@@ -16,7 +16,6 @@ from paritylab.collector import (
     CCTesterConfig,
     _cc_rows,
     _confused_draw,
-    _keep_probs,
 )
 from paritylab.collector import test_uniformity_cc as cc_verdict
 from paritylab.core import SampleMultiset, circular_runs, necklace_sums, parity_trace
@@ -67,8 +66,12 @@ def test_cc_rows_match_the_per_trial_tester():
         counts = mixed_counts(rng, 40, n, m / n)
         keep = rng.random((40, graph.n_edges)) < 0.5
         labels = _kernels.bucket_labels(keep, n, graph.is_cycle)
-        x = _kernels.bucket_sums(counts, labels)
-        step, _, y, _, _ = _cc_rows(x, cfg, n, m, graph, True)
+        # the batch reads each row's largest bucket and sum of x(x-1), in blocks
+        ends = np.ones((40, n), dtype=np.bool_)
+        ends[:, : n - 1] = ~keep[:, : n - 1]
+        joined = keep[:, -1] if graph.is_cycle else np.zeros(40, dtype=np.bool_)
+        top, pairs = _kernels.bucket_moments(ends, joined, np.array_split(counts.flatten(), 7))
+        step, y, _, _ = _cc_rows(top, pairs, cfg, n, m, graph, True)
         for i in range(len(counts)):
             bucket_counts = np.bincount(labels[i], weights=counts[i])
             v = cc_verdict(bucket_counts, cfg, n, m, graph, override_range_check=True)
@@ -253,6 +256,26 @@ def test_pt_large_point_memory_is_bounded_by_the_chunk(monkeypatch):
     assert peaks[1] <= peaks[0] * 1.05
 
 
+@pytest.mark.parametrize("instance,bound", [("uniform", 1.0), ("interval_far", 1.5)])
+def test_cc_point_memory_is_bounded_by_the_block(instance, bound):
+    # the counts are drawn and reduced in blocks, with no (rows, n) label, count or
+    # float array: at n=65536 a point peaked at 3.0 MiB (uniform) and 3.5 MiB
+    # (interval_far) with them, and at 0.29 and 0.86 MiB without; interval_far
+    # keeps its (rows, n) masses
+    point = {"n": 65536, "epsilon": 0.3, "eta": 0.5, "instance": instance, "width": 8}
+    if instance == "uniform":
+        del point["width"]
+    estimate_acceptance(ExperimentSpec("cc", [point], 2, 3))
+    for trials in (2, 8):
+        tracemalloc.start()
+        try:
+            estimate_acceptance(ExperimentSpec("cc", [point], trials, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 2**20, trials
+
+
 def test_half_of_one_over_n_is_one_half_over_n():
     # the uniform pt_large rate m * (0.5 / n) is the odd cells' m * (0.5 * (1.0 / n))
     n = np.arange(1, 2**20, dtype=np.float64)
@@ -266,9 +289,9 @@ def test_uniform_scalar_rate_draws_the_rate_array_counts(n):
     cfg, m = _setup("cc", cc_point)
     graph = BaseGraph("cycle", n)
     scalar = _cc_draw(cc_point, cfg, graph, m, rows, generator(n), None)
-    array = _confused_draw(generator(n), graph, _keep_probs(graph, cfg.eta), m,
-                           lambda rows: np.full((rows, n), 1.0 / n), rows)[1]
-    assert np.array_equal(scalar, array)
+    array = _confused_draw(generator(n), graph, 1.0 - cfg.eta, m,
+                           lambda rows: np.full((rows, n), 1.0 / n), rows)
+    assert np.array_equal(scalar, array)  # (top, pairs) of every row
     pt_point = {"n": n, "epsilon": epsilon}
     _, m = _setup("pt_large", pt_point)
     rates = np.full((rows, 2 * n), 0.5 / n)

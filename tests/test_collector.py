@@ -5,13 +5,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from paritylab import _kernels
 from paritylab.collector import (
+    _BLOCK_CELLS,
     BaseGraph,
     CCTesterConfig,
     _arc_ends,
+    _blocks,
     _confused_draw,
     _join_product,
     _join_sum,
+    _subgraph_ends,
+    _subgraph_labels,
     confused_trials,
     min_eigenvalue,
     phi_empirical,
@@ -95,8 +100,19 @@ def test_mass_vector_must_match_the_graph():
     with pytest.raises(ValueError, match="sizes differ"):  # a 0-d array fits no graph
         sample_confused(0.5, 200.0, g, 0.5, seed=1)
     with pytest.raises(ValueError, match="sizes differ"):  # one row per draw
-        _confused_draw(generator(1), g, np.full(64, 0.5), 200.0,
+        _confused_draw(generator(1), g, 0.5, 200.0,
                        lambda rows: np.full((rows, 65), 1 / 65), 2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 1023, 1024, 1075, 4096, 65536])
+def test_path_join_sum_is_the_sum_over_powers(n):
+    # nu**d is subnormal from about d = 1022 at nu = 0.5 and from d = 2 at 1e-160,
+    # and 0 once it underflows; the kept value is the one the expression gives
+    d = np.arange(1, n)
+    for nu in (0.0, 1e-300, 1e-160, 0.1, 0.5, 0.5**0.5, 0.9, 0.999, 1.0):
+        expected = float(n + 2 * np.sum((n - d) * nu**d))
+        for _ in range(2):  # computed, then kept
+            assert _join_sum(n, nu, False).hex() == expected.hex(), nu
 
 
 def test_phi_row_sum_closed_form():
@@ -324,6 +340,80 @@ def test_monte_carlo_mean_matches_quadratic_form():
     exact = expected_y(p, phi_expected(g, 0.3), 200.0)
     se = ys.std(ddof=1) / np.sqrt(trials)
     assert abs(ys.mean() - exact) <= 3.5 * se
+
+
+def moments_from_labels(labels, values):
+    """(top, pairs) of each row from `bucket_labels` and `np.bincount`."""
+    x = [np.bincount(row, weights=v) for row, v in zip(labels, values)]
+    return (np.array([xi.max() for xi in x]), np.array([(xi * (xi - 1)).sum() for xi in x]))
+
+
+B = _BLOCK_CELLS
+REDUCER_CASES = [  # (graph, n, rows, keep): a float keeps every edge at random
+    ("cycle", 64, 3, "all"),  # one bucket
+    ("cycle", 64, 3, "none"),
+    ("path", 64, 3, "none"),
+    ("cycle", 64, 3, "wrap only"),
+    ("cycle", 64, 3, "all but wrap"),
+    ("path", 64, 40, 0.5),
+    ("path", 64, 3, "all"),
+    ("cycle", 2, 9, 0.5),
+    ("path", 2, 9, 0.5),
+    ("cycle", B - 1, 3, 0.5),
+    ("cycle", B, 3, 0.9),
+    ("path", B + 1, 3, 0.5),
+    ("cycle", B + 1, 3, 0.99),
+    ("cycle", 3 * B + 5, 2, 0.999),
+    ("path", 3 * B + 5, 2, 0.5),
+    ("cycle", 3000, 7, 0.5),  # whole rows per block, rows straddling fixed-size blocks
+    ("cycle", 5, 4000, 0.6),
+]
+
+
+@pytest.mark.parametrize("kind,n,rows,keep", REDUCER_CASES)
+def test_bucket_moments_match_labels_and_bincount(kind, n, rows, keep):
+    g = BaseGraph(kind, n)
+    if isinstance(keep, float):
+        keeps = np.full(g.n_edges, keep)
+    else:  # 0/1 keeps fix the mask: u < 1 always, u < 0 never
+        keeps = np.full(g.n_edges, float(keep in ("all", "all but wrap")))
+        keeps[-1] = {"all": 1.0, "none": 0.0, "wrap only": 1.0, "all but wrap": 0.0}[keep]
+    broken = generator(n).random((rows, g.n_edges)) >= keeps
+    labels = _kernels.bucket_labels(~broken, n, g.is_cycle)
+    ends = np.ones((rows, n), dtype=np.bool_)
+    ends[:, : g.n_edges] = broken
+    joined = ~broken[:, -1] if g.is_cycle else np.zeros(rows, dtype=np.bool_)
+    ends[:, -1] = True
+    if isinstance(keep, float):  # the draw reads the same uniforms
+        drawn = _subgraph_ends(generator(n), keep, g, rows)
+        assert np.array_equal(drawn[0], ends) and np.array_equal(drawn[1], joined)
+    values = generator(n + 1).poisson(3.0, size=(rows, n))
+    expected = moments_from_labels(labels, values)
+    splits = {"production": [values[index].copy() for index, _ in _blocks(rows, n)],
+              "one block": [values.flatten()],
+              "straddling": np.array_split(values.flatten(), range(B - 7, rows * n, B - 7)),
+              "small": np.array_split(values.flatten(), range(37, rows * n, 37))}
+    for name, blocks in splits.items():
+        top, pairs = _kernels.bucket_moments(ends, joined, blocks)
+        assert np.array_equal(top, expected[0]) and np.array_equal(pairs, expected[1]), name
+
+
+def test_bucket_moments_join_an_arc_across_vertex_0():
+    # an interval_far arc over vertices n-4 .. 3: its heavy counts fall in the first
+    # and the last run of each row, which one bucket holds when the wrap edge survives
+    n, rows = 3 * B + 5, 4
+    g = BaseGraph("cycle", n)
+    rates = np.full(n, 0.1)
+    rates[np.arange(-4, 4)] = 40.0
+    keeps = np.full(n, 0.9)
+    labels = _subgraph_labels(generator(5), keeps, n, True, rows)
+    ends, joined = _subgraph_ends(generator(5), 0.9, g, rows)
+    assert joined.any()
+    values = generator(6).poisson(rates, size=(rows, n))
+    top, pairs = _kernels.bucket_moments(ends, joined, [values[i].copy() for i, _ in _blocks(rows, n)])
+    expected = moments_from_labels(labels, values)
+    assert np.array_equal(top, expected[0]) and np.array_equal(pairs, expected[1])
+    assert (top[joined] > values[joined][:, :4].sum(axis=1)).all()  # the arc joined
 
 
 def test_bucket_sizes_rarely_large():

@@ -346,13 +346,21 @@ def test_cli_json_input_that_misses_a_key_exits_2(tmp_path, command, payload, me
                                       "bias": "0.3"}]}, "pair bias must be a real number"),
     ({"tester": "pt_large", "grid": [{"n": 8, "epsilon": 0.3, "instance": "paired_far",
                                       "bias": None}]}, "pair bias must be a real number"),
+    ({"tester": "pt_large", "grid": [{"n": 8, "epsilon": 0.3, "bias": True}]},
+     "pair bias must be a real number"),
+    ({"tester": "pt_small", "grid": [{"n": 8, "epsilon": 0.3, "instance": "interval_far",
+                                      "bias": "0.3"}]}, "pair bias must be a real number"),
+    ({"tester": "pt_large", "grid": [{"n": 8, "epsilon": 0.3, "bias": 1.5}]},
+     "pair bias must be a real number"),
 ], ids=["grid_5", "grid_of_5", "pt_large_beta_nan", "cc_beta_nan", "cc_c_negative",
         "pt_small_c_string", "pt_large_beta_true", "cc_c_true", "cc_eta_true", "cc_eta_string",
         "pt_large_mode", "pt_small_mode", "pt_large_n_half", "pt_small_n_half", "cc_n_half",
         "pt_large_n_0", "pt_small_n_0", "pt_small_n_true", "cc_bias", "cc_override_string",
         "cc_gamma", "pt_large_graph", "pt_large_eta", "pt_small_override", "pt_small_typo",
         "pt_small_beta", "pt_small_gamma", "pt_large_c_small", "cc_width_true", "cc_width_half",
-        "pt_large_bias_true", "pt_large_bias_string", "pt_large_bias_null"])
+        "pt_large_bias_true", "pt_large_bias_string", "pt_large_bias_null",
+        "pt_large_uniform_bias_true", "pt_small_interval_bias_string",
+        "pt_large_uniform_bias_1_5"])
 def test_cli_experiment_bad_grid_or_constant_exits_2(tmp_path, capsys, spec, message):
     # the grids and the string c and eta exited 1 with a TypeError traceback; beta=NaN
     # accepted every far trial, c=-1 ran at m=1, the bools ran at 1.0, and the mode
@@ -360,7 +368,8 @@ def test_cli_experiment_bad_grid_or_constant_exits_2(tmp_path, capsys, spec, mes
     # a TypeError traceback, 0 exited 2 with "math domain error", and pt_small ran
     # "n": true.  Each key its tester does not read ran and was echoed in the CSV: the cc
     # bias point ran at bias min(1, 2 eps) = 0.6, and "override": "no" with the override on.
-    # A paired_far bias of true ran at 1.0, and "0.3" and null exited 1 with a TypeError
+    # A paired_far bias of true ran at 1.0, and "0.3" and null exited 1 with a TypeError;
+    # on the uniform and interval_far instances, which do not read it, any bias ran
     sfile = tmp_path / "spec.json"
     sfile.write_text(json.dumps({"schema": 1, "trials": 2, "seed": 1, **spec}))
     assert main(["experiment", str(sfile)]) == 2
