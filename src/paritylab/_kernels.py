@@ -15,9 +15,9 @@ bound reaches an exact floor, and reads the narrow ones left, which saves
 as much as the masses let bands fall below the floor (the join matrix and
 its O(n) product behind the conjugate residual live in `collector`, as
 direct products of keeps).  All randomness is drawn by
-the callers, outside the kernels.  ``perfbench/run.py`` times them in
-their callers: the DPs in the edit oracles, the scan in the conjugate
-oracles, and the bucket kernels in every cc trial.
+the callers, outside the kernels.  ``perfbench/run.py`` times them in their
+callers: the DPs in the edit oracles, the scan in the conjugate oracles, and
+`bucket_moments` in every cc trial and pt_large chunk with an empty slot.
 """
 
 from __future__ import annotations

@@ -49,7 +49,7 @@ def _cmd_sample(args) -> int:
     if args.poisson:
         counts = sample_poissonized(pair, args.m, args.seed)
     else:
-        counts = sample_exact(pair, int(args.m), args.seed)
+        counts = sample_exact(pair, args.m, args.seed)
     print(parity_trace(counts))
     return 0
 

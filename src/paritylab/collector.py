@@ -12,16 +12,16 @@ margin, after first rejecting anything with a suspiciously large bucket
 count.
 
 It is the one bucket-collision engine: `_confused_draw` draws every cc trial
-and reduces it, block by block and with no labels, to the two numbers the
-tester reads, the largest bucket count and sum x(x-1); `_row_chunks` sizes
-every Monte Carlo loop and grid point in cells, and `_collision_check`
-checks cc and, by the necklace reduction, each parity-trace symbol class.  `phi_from_keep_probs` is the one builder of an
-expected join matrix: `phi_expected` (constant eta) and `parity.phi_mu`
-(constant keep exp(-m/2n) on the necklace) are it at a constant keep
-vector; `_join_product` multiplies by the matrix in O(n) without
-building it.  Both multiply keeps directly, with no logs, so keeps
-that are 0, 1 or subnormal stay exact; `_arc_ends` forms the arcs through
-vertex 0 for both.  The samplers and oracles run at a constant eta.
+and reduces it, block by block and with no labels, to the largest bucket count
+and sum x(x-1), `_necklace_moments` a pt_large chunk's symbol classes to the
+same two and their sizes, and `_collision_check` checks both; `_row_chunks`
+sizes every Monte Carlo loop and grid point in cells.  `phi_from_keep_probs` is
+the one builder of an expected join matrix: `phi_expected` (constant eta) and
+`parity.phi_mu` (constant keep exp(-m/2n) on the necklace) are it at a constant
+keep vector; `_join_product` multiplies by the matrix in O(n) without building
+it.  Both multiply keeps directly, with no logs, so keeps that are 0, 1 or
+subnormal stay exact; `_arc_ends` forms the arcs through vertex 0 for both.
+The samplers and oracles run at a constant eta.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import _check_epsilon, _check_eta, _check_positive, _check_size
+from .core import _check_epsilon, _check_eta, _check_positive, _check_size, _weights
 from .rng import generator
 from .verdict import Verdict
 
@@ -198,6 +198,27 @@ def _confused_draw(rng, graph: BaseGraph, keep: float, m: float, masses, rows: i
     return _kernels.bucket_moments(ends, joined, _count_blocks(rng, m, pw, rows, graph.n))
 
 
+def _necklace_moments(counts: np.ndarray):
+    """(top, pairs, size), int64 of shape (2, rows) each, of every row of 2n counts:
+    per symbol class of its parity trace, one-runs first, the longest circular
+    run, sum r(r-1) over the runs r, and the number of symbols.  With no empty
+    slot no slots join (see `parity`) and the counts are the runs, reduced where
+    they lie; else `_kernels.bucket_moments` reads block copies of them."""
+    classes = odd, even = counts[:, 0::2], counts[:, 1::2]  # 1s, then 0s
+    size = np.array([x.sum(axis=1) for x in classes])
+    if counts.all():
+        top = np.array([x.max(axis=1) for x in classes])
+        return top, np.array([np.einsum("ij,ij->i", x, x) for x in classes]) - size, size
+    # odd slot i ends a one-run unless even slot i is empty, and even slot i a
+    # zero-run unless odd slot i+1 is; slot n-1 ends both, and a wrap edge joins
+    ends = np.concatenate((even != 0, np.roll(odd != 0, -1, axis=1)))
+    joined = ~ends[:, -1]
+    ends[:, -1] = True
+    blocks = (x[index].copy() for x in classes for index, _ in _blocks(*odd.shape))
+    top, pairs = _kernels.bucket_moments(ends, joined, blocks)
+    return top.reshape(2, -1), pairs.reshape(2, -1), size
+
+
 def sample_confused(p, m: float, graph: BaseGraph, eta: float, seed):
     """One draw of the confused-collector process.
 
@@ -217,9 +238,16 @@ def sample_confused(p, m: float, graph: BaseGraph, eta: float, seed):
 
 
 def confused_trials(p, m: float, graph: BaseGraph, eta: float, trials: int, seed):
-    """Monte Carlo batch of (Y, max bucket count) over fresh (H, sample) draws."""
-    pw = np.asarray(getattr(p, "weights", p), dtype=np.float64)
+    """Monte Carlo batch of (Y, max bucket count) over fresh (H, sample) draws.
+
+    A `p` that is not a vector of finite non-negative weights of length n, an
+    `m` that is not finite and positive, an eta outside (0,1] or a `trials`
+    that is not an integer >= 1 raises ValueError.
+    """
+    pw = _weights(p, "p")  # `_confused_draw` checks the length
+    _check_positive(m, "m")
     _check_eta(eta)
+    _check_size(trials, "trials", 1)
     rng = generator(seed)
     ys, maxx = np.empty(trials), np.empty(trials)
     start = 0

@@ -28,7 +28,6 @@ __all__ = [
     "parity_trace",
     "circular_runs",
     "linear_runs",
-    "necklace_sums",
     "parse_bits",
     "runs_from_counts",
     "sample_exact",
@@ -172,8 +171,9 @@ class SampleMultiset:
 class RunLengthTrace:
     """Circular run-length vectors of the parity trace `bits`.
 
-    The testers read the runs and `length`, the number of symbols; the runs
-    must add up to it.
+    The testers read the runs and `length`, the number of symbols.  Both
+    vectors must be 1-d, of an integer dtype, with every run at least 1 long,
+    and the runs must add up to `length`, or ValueError is raised.
     """
 
     one_runs: np.ndarray
@@ -181,6 +181,9 @@ class RunLengthTrace:
     bits: str = field(repr=False)
 
     def __post_init__(self):
+        if any(r.ndim != 1 or r.dtype.kind not in "iu" or r.min(initial=1) < 1
+               for r in (self.one_runs, self.zero_runs)):
+            raise ValueError("runs must be 1-d integer vectors of lengths >= 1")
         if int(self.one_runs.sum() + self.zero_runs.sum()) != len(self.bits):
             raise ValueError("run lengths do not add up to the trace length")
 
@@ -256,37 +259,16 @@ def runs_from_counts(counts: np.ndarray) -> RunLengthTrace:
     return circular_runs(parity_trace(SampleMultiset(counts)))
 
 
-def necklace_sums(counts: np.ndarray) -> np.ndarray:
-    """Circular run lengths of the parity trace of every row of 2n counts.
-
-    On the necklace of n odd/even slot pairs, the one-runs are the bucket
-    sums of the odd counts where edge i survives when the even slot after
-    odd slot i is empty, and the zero-runs are the bucket sums of the even
-    counts where edge i survives when the next odd slot is empty.  Returns
-    a float64 array of shape (2, rows, n): the one-run sums, then the
-    zero-run sums; a zero entry is a bucket with no sample point, or no
-    bucket, and no run.  When no slot is empty no edge survives, and the
-    runs are the odd and the even counts themselves, with no labels.
-    """
-    rows, n = counts.shape[0], counts.shape[1] // 2
-    odd = counts[:, 0::2]  # odd elements -> 1 symbols
-    even = counts[:, 1::2]  # even elements -> 0 symbols
-    values = np.concatenate((odd, even), dtype=np.float64)
-    if counts.all():
-        return values.reshape(2, rows, n)
-    keep = np.concatenate((even == 0, np.roll(odd == 0, -1, axis=1)))
-    labels = _kernels.bucket_labels(keep, n, True)
-    return _kernels.bucket_sums(values, labels).reshape(2, rows, n)
-
-
 def sample_exact(pair: PartialDistributionPair, m: int, seed) -> SampleMultiset:
-    """m i.i.d. draws from the full distribution, aggregated to counts."""
-    if m < 0:
-        raise ValueError("sample size must be non-negative")
+    """m i.i.d. draws from the full distribution, aggregated to counts; an `m`
+    that is not a whole number >= 0, or is a bool, raises ValueError."""
+    if isinstance(m, bool) or not (isinstance(m, numbers.Real) and math.isfinite(m) and m >= 0
+                                   and m == int(m)):
+        raise ValueError(f"sample size must be a whole number >= 0, got {m!r}")
     rng = generator(seed)
     pi = pair.interleaved()
     pi = pi / pi.sum()  # normalization drift below the pair tolerance
-    return SampleMultiset(rng.multinomial(m, pi))
+    return SampleMultiset(rng.multinomial(int(m), pi))
 
 
 def sample_poissonized(pair: PartialDistributionPair, m: float, seed) -> SampleMultiset:

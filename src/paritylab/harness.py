@@ -26,11 +26,12 @@ from .collector import (
     _cc_rows,
     _cc_verdict,
     _confused_draw,
+    _necklace_moments,
     _row_chunks,
 )
 from . import _kernels
 from .core import (PartialDistribution, PartialDistributionPair, _check_epsilon, _check_positive,
-                   _check_size, _json_object, necklace_sums)
+                   _check_size, _json_object)
 from .parity import (
     _PT_LARGE_STATS,
     _PT_LARGE_STEPS,
@@ -317,9 +318,9 @@ def run_cc_trial(point: dict, seed) -> Verdict:
 def run_pt_large_trial(point: dict, seed) -> Verdict:
     cfg, m = _setup("pt_large", point)
     s_inst, s_run = split_seed(seed, 2)
-    # no name holds the counts, so they are freed once their runs are summed
-    return _pt_large_verdict(necklace_sums(_pt_large_draw(point, m, 1, generator(s_run), s_inst)),
-                             point["n"], point["epsilon"], cfg, m)
+    # no name holds the counts, so they are freed once their runs are reduced
+    moments = _necklace_moments(_pt_large_draw(point, m, 1, generator(s_run), s_inst))
+    return _pt_large_verdict(moments, point["n"], point["epsilon"], cfg, m)
 
 
 def run_pt_small_trial(point: dict, seed) -> Verdict:
@@ -350,8 +351,8 @@ def _pt_large_point(point: dict, trials: int, rng):
     cfg, m = _setup("pt_large", point)
     n, epsilon = point["n"], point["epsilon"]
     for rows in _row_chunks(trials, 2 * n):
-        runs = necklace_sums(_pt_large_draw(point, m, rows, rng, rng))
-        first, stats, _, _ = _pt_large_rows(runs, n, epsilon, cfg, m)
+        moments = _necklace_moments(_pt_large_draw(point, m, rows, rng, rng))
+        first, stats, _, _ = _pt_large_rows(moments, n, epsilon, cfg, m)
         yield np.asarray(_PT_LARGE_STEPS)[first] == "none", stats[_PT_LARGE_STATS.index("Y1")]
 
 

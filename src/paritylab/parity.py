@@ -7,8 +7,8 @@ statistic of each class; the coverage branch ("small_eps") runs coupon
 collection plus a histogram tester on the recovered multiplicities.
 
 A one-run is a bucket of odd necklace slots, joined where the even slot
-between them is empty (zero-runs likewise): a confused collector with
-d = 2n and nu = exp(-m/2n), checked by `collector._collision_check`.
+between them is empty (zero-runs likewise): a confused collector with d = 2n
+and nu = exp(-m/2n), reduced and checked by `collector`'s bucket engine.
 """
 
 from __future__ import annotations
@@ -136,39 +136,37 @@ _PT_LARGE_STEPS = ("bias", "concentration", "collision") * 2 + ("none",)
 _PT_LARGE_STATS = ("N1", "max_run1", "Y1", "N0", "max_run0", "Y0")
 
 
-def _pt_large_rows(runs, n: int, epsilon: float, config: PTTesterConfig, m: float):
+def _pt_large_rows(moments, n: int, epsilon: float, config: PTTesterConfig, m: float):
     """The six checks of `test_uniformity_pt_large` on every row.
 
-    `runs[0, i]` and `runs[1, i]` hold the one-run and the zero-run lengths
-    of trace i (the layout of `necklace_sums`); zero entries stand for no
-    run and change no statistic.  Returns (first, stats, threshold_Y,
-    threshold_run): first[i] indexes _PT_LARGE_STEPS at the first failing
-    check of row i, and stats[j, i] is statistic _PT_LARGE_STATS[j] of row
-    i.  An epsilon outside (0,2], an `n` that is not an integer >= 1, or a
-    sample size `m` that is not finite and positive raises ValueError.
+    `moments` is the (top, pairs, size) of `collector._necklace_moments`,
+    whole numbers of shape (2, rows) each.  Returns (first, stats, threshold_Y, threshold_run):
+    first[i] indexes _PT_LARGE_STEPS at the first failing check of row i, and
+    stats[j, i] is statistic _PT_LARGE_STATS[j] of row i.  An epsilon outside
+    (0,2], an `n` that is not an integer >= 1, or a sample size `m` that is not
+    finite and positive raises ValueError.
     """
     _check_epsilon(epsilon)
-    x = np.asarray(runs, dtype=np.float64)
-    max_run = x.max(axis=-1, initial=0.0)
+    # whole numbers below 2**53 are exact in float64, and the checks skip int-to-float casts
+    top, pairs, size = np.asarray(moments, dtype=np.float64)
     y, threshold_run, threshold_y = _collision_check(
-        _pair_sums(x), m, n, 2 * n, _necklace_keep(n, m), True, config.alpha,
+        pairs, m, n, 2 * n, _necklace_keep(n, m), True, config.alpha,
         config.beta * epsilon**2 * m**2 / n**2)
-    n_sym = x.sum(axis=2)
     # rows 0-5 hold the checks in order as (class, check); row 6, "none", always holds
-    failed = np.ones((7, x.shape[1]), dtype=np.bool_)
+    failed = np.ones((7, top.shape[1]), dtype=np.bool_)
     checks = failed[:6].reshape(2, 3, -1)
-    np.greater_equal(n_sym / m, 0.5 + config.gamma / math.sqrt(m), out=checks[:, 0])
-    np.logical_and(n_sym > 0, max_run >= threshold_run, out=checks[:, 1])  # a run must exist
+    np.greater_equal(size / m, 0.5 + config.gamma / math.sqrt(m), out=checks[:, 0])
+    np.logical_and(size > 0, top >= threshold_run, out=checks[:, 1])  # a run must exist
     np.greater_equal(y, threshold_y, out=checks[:, 2])
-    stats = np.stack((n_sym, max_run, y), axis=1)  # (class, statistic, row)
+    stats = np.stack((size, top, y), axis=1)  # (class, statistic, row)
     return failed.argmax(axis=0), stats.reshape(6, -1), threshold_y, threshold_run
 
 
-def _pt_large_verdict(runs, n: int, epsilon: float, config: PTTesterConfig, m: float) -> Verdict:
-    """The verdict of `test_uniformity_pt_large` on row 0 of (2, 1, k) run sums."""
+def _pt_large_verdict(moments, n: int, epsilon: float, config: PTTesterConfig, m: float) -> Verdict:
+    """The verdict of `test_uniformity_pt_large` on row 0 of the moments `_pt_large_rows` reads."""
     params = {"alpha": config.alpha, "beta": config.beta, "gamma": config.gamma,
               "c_m": config.c_m, "epsilon": epsilon, "n": n, "m": m, "branch": "large_eps"}
-    first, rows, threshold_y, threshold_run = _pt_large_rows(runs, n, epsilon, config, m)
+    first, rows, threshold_y, threshold_run = _pt_large_rows(moments, n, epsilon, config, m)
     first = int(first[0])
     fired = _PT_LARGE_STEPS[first]
     stats = {"threshold_Y": threshold_y, "threshold_run": threshold_run}
@@ -195,10 +193,12 @@ def test_uniformity_pt_large(trace, n: int, epsilon: float,
     >= 1, or an epsilon outside (0,2], raises ValueError.
     """
     runs = trace if isinstance(trace, RunLengthTrace) else circular_runs(trace)
-    padded = np.zeros((2, 1, max(runs.one_runs.size, runs.zero_runs.size)))
-    padded[0, 0, : runs.one_runs.size] = runs.one_runs
-    padded[1, 0, : runs.zero_runs.size] = runs.zero_runs
-    return _pt_large_verdict(padded, n, epsilon, config or PTTesterConfig(),
+    # (top, pairs, size) per class: sum r(r-1) = r.r - sum r, and the runs add up to the length
+    ones = int(runs.one_runs.sum())
+    moments = np.empty((3, 2, 1))
+    for c, (r, size) in enumerate(((runs.one_runs, ones), (runs.zero_runs, runs.length - ones))):
+        moments[:, c, 0] = r.max(initial=0), r @ r - size, size
+    return _pt_large_verdict(moments, n, epsilon, config or PTTesterConfig(),
                              float(runs.length) if m is None else m)
 
 

@@ -16,9 +16,10 @@ from paritylab.collector import (
     CCTesterConfig,
     _cc_rows,
     _confused_draw,
+    _necklace_moments,
 )
 from paritylab.collector import test_uniformity_cc as cc_verdict
-from paritylab.core import SampleMultiset, circular_runs, necklace_sums, parity_trace
+from paritylab.core import SampleMultiset, circular_runs, parity_trace
 from paritylab.harness import (
     ExperimentSpec,
     _cc_draw,
@@ -93,7 +94,7 @@ def test_pt_large_rows_match_the_per_trial_tester_on_the_string(monkeypatch):
     counts[14:18, 1::2] *= 3  # ... and class 0 has too many zeros
     counts[18:30, 1::2] = rng.poisson(1.2 * lam, size=(12, n))  # ... or too many collisions
     assert_has_empty_slots(counts)
-    first, stats, _, _ = _pt_large_rows(necklace_sums(counts), n, eps, cfg, m)
+    first, stats, _, _ = _pt_large_rows(_necklace_moments(counts), n, eps, cfg, m)
     # the one-row path: the trial, with its draw replaced by row i
     monkeypatch.setattr(harness, "_pt_large_draw", lambda point, m, rows, rng, inst: counts[[i]])
     seen = set()
@@ -235,9 +236,9 @@ def test_pt_large_point_memory_is_bounded_by_the_chunk(monkeypatch):
 
     def spy(counts):
         rows.append(counts.shape[0])
-        return necklace_sums(counts)
+        return _necklace_moments(counts)
 
-    monkeypatch.setattr(harness, "necklace_sums", spy)
+    monkeypatch.setattr(harness, "_necklace_moments", spy)
     # rows per chunk: _CHUNK_CELLS cells of 2n each, and at least one row
     per_chunk = _CHUNK_CELLS // 512
     estimate_acceptance(ExperimentSpec("pt_large", [{"n": 256, "epsilon": 0.3}],
@@ -301,16 +302,17 @@ def test_uniform_scalar_rate_draws_the_rate_array_counts(n):
 
 
 def test_a_pt_large_trial_with_no_empty_slot_skips_the_labels(monkeypatch):
-    # at the shipped budget, m/2n = 21 at n=65536, every slot is sampled; with no
-    # labels, cumsum or bincount the trial peaked at 2.0 MB, and at 5.1 MB with them
+    # at the shipped budget, m/2n = 21 at n=65536, every slot is sampled, and the
+    # counts are reduced where they lie: the trial peaks at 1.0 MiB, and at 5.1 MB
+    # through labels, cumsum and bincount
     point = {"n": 65536, "epsilon": 0.3}
     full = []
 
     def spy(counts):
         full.append(bool(counts.all()))
-        return necklace_sums(counts)
+        return _necklace_moments(counts)
 
-    monkeypatch.setattr(harness, "necklace_sums", spy)
+    monkeypatch.setattr(harness, "_necklace_moments", spy)
     spec = ExperimentSpec("pt_large", [point], 1, 19)
     estimate_acceptance(spec)
     tracemalloc.start()
@@ -325,13 +327,16 @@ def test_a_pt_large_trial_with_no_empty_slot_skips_the_labels(monkeypatch):
 
 def test_a_pt_large_trial_peaks_where_its_point_does():
     # the trial used to copy its runs into int64 vectors and pad them back into a
-    # float array, and peaked at 4.0 MB; as the one-row batch it peaks at 2.0 MB
-    point = {"n": 65536, "epsilon": 0.3}
-    run_pt_large_trial(point, 19)
-    tracemalloc.start()
-    try:
+    # float array, and peaked at 4.0 MB; as the one-row batch it peaked at 2.0 MiB
+    # with a float64 copy of its 1 MiB of counts, and at 5.1 MiB when a slot is empty
+    # (m = 2n) with labels and bincount.  It holds its counts, one bool per slot
+    # and one block: 1.0 and 1.4 MiB
+    for point in ({"n": 65536, "epsilon": 0.3}, {"n": 65536, "epsilon": 0.3, "m": 131072}):
         run_pt_large_trial(point, 19)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.1 * 2**20
+        tracemalloc.start()
+        try:
+            run_pt_large_trial(point, 19)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20, point

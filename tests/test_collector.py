@@ -1,5 +1,6 @@
 """Join matrices, eigenvalue bounds, and the bucket-count tester."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -102,6 +103,25 @@ def test_mass_vector_must_match_the_graph():
     with pytest.raises(ValueError, match="sizes differ"):  # one row per draw
         _confused_draw(generator(1), g, 0.5, 200.0,
                        lambda rows: np.full((rows, 65), 1 / 65), 2)
+
+
+@pytest.mark.parametrize("name,value,message", [
+    ("m", 0, "m must be finite and positive"),
+    ("m", True, "m must be finite and positive"),
+    ("m", math.nan, "m must be finite and positive"),
+    ("trials", 2.5, "trials must be an integer"),
+    ("trials", True, "trials must be an integer"),
+    ("trials", 0, "trials must be an integer"),
+    ("p", np.r_[math.nan, np.full(63, 1 / 63)], "p must be finite"),
+    ("p", np.full((2, 64), 1 / 64), "p must be a non-empty vector"),
+])
+def test_confused_trials_checks_its_inputs(name, value, message):
+    # m = 0 gave all-NaN Y, m = True ran at 1, a trials of 2.5 or True died in
+    # numpy, and a NaN mass raised numpy's "lam value too large"
+    args = {"p": np.full(64, 1 / 64), "m": 200.0, "graph": BaseGraph("cycle", 64),
+            "eta": 0.5, "trials": 4, "seed": 1, name: value}
+    with pytest.raises(ValueError, match=message):
+        confused_trials(**args)
 
 
 @pytest.mark.parametrize("n", [2, 3, 64, 1023, 1024, 1075, 4096, 65536])

@@ -1,16 +1,18 @@
 """Sampling, parity traces, and circular run-length extraction."""
 
+import math
+
 import numpy as np
 import pytest
 
 from paritylab import _kernels
+from paritylab.collector import _necklace_moments
 from paritylab.core import (
     PartialDistribution,
     PartialDistributionPair,
     RunLengthTrace,
     SampleMultiset,
     circular_runs,
-    necklace_sums,
     pair_from_json,
     pair_to_json,
     parity_trace,
@@ -190,8 +192,30 @@ def test_run_length_trace_runs_must_add_up_to_its_bits():
             RunLengthTrace(ones, zeros, bits)
 
 
+@pytest.mark.parametrize("ones,zeros,bits", [
+    (np.array([1.5, 1.5]), np.array([1]), "1110"),  # a fractional run took a verdict
+    (np.array([5, -1]), np.array([1]), "11110"),
+    (np.array([0, 3]), np.array([1]), "1110"),
+    (np.array([[2]]), np.array([[1]]), "110"),
+])
+def test_run_length_trace_rejects_runs_no_trace_has(ones, zeros, bits):
+    with pytest.raises(ValueError, match="runs must be"):
+        RunLengthTrace(ones, zeros, bits)
+
+
+@pytest.mark.parametrize("counts", [[0, 0, 0, 0], [3, 0, 2, 0], [0, 4, 0, 1], [2, 1, 0, 0]])
+def test_constant_and_empty_traces_have_runs(counts):
+    runs = runs_from_counts(np.array(counts))
+    again = circular_runs(runs.bits)
+    assert runs.length == sum(counts)
+    assert np.array_equal(again.one_runs, runs.one_runs)
+    assert np.array_equal(again.zero_runs, runs.zero_runs)
+
+
 def labels_necklace_sums(counts: np.ndarray) -> np.ndarray:
-    """`necklace_sums` through bucket labels and sums on every row, whatever the counts."""
+    """The circular run lengths of the parity trace of every row of 2n counts, as
+    float64 of shape (2, rows, n), the one-runs first, through bucket labels and
+    sums on every row; a zero entry is no run."""
     rows, n = counts.shape[0], counts.shape[1] // 2
     odd, even = counts[:, 0::2], counts[:, 1::2]
     keep = np.concatenate((even == 0, np.roll(odd, -1, axis=1) == 0))
@@ -200,18 +224,31 @@ def labels_necklace_sums(counts: np.ndarray) -> np.ndarray:
     return _kernels.bucket_sums(values, labels).reshape(2, rows, n)
 
 
-def test_necklace_sums_match_the_labels_path():
+def assert_necklace_moments_match_the_labels_path(counts: np.ndarray) -> None:
+    runs = labels_necklace_sums(counts)
+    expect = runs.max(axis=2), (runs * (runs - 1)).sum(axis=2), runs.sum(axis=2)
+    for got, want in zip(_necklace_moments(counts), expect):
+        assert got.dtype == np.int64 and got.shape == (2, counts.shape[0])
+        assert np.array_equal(got, want)
+
+
+def test_necklace_moments_match_the_labels_path():
     rng = np.random.default_rng(19)
     for n in range(1, 65):
         full = rng.integers(1, 5, size=(6, 2 * n))
         one_zero = full.copy()
         one_zero[np.arange(6), rng.integers(0, 2 * n, size=6)] = 0
         many_zeros = full * (rng.random((6, 2 * n)) < 0.5)
-        for counts in (full, one_zero, many_zeros, np.zeros((3, 2 * n), dtype=np.int64)):
-            got, expect = necklace_sums(counts), labels_necklace_sums(counts)
-            assert got.shape == expect.shape == (2, counts.shape[0], n)
-            assert got.dtype == expect.dtype == np.float64
-            assert np.array_equal(got, expect)
+        mixed = np.concatenate((full[:3], one_zero[3:]))  # one empty slot takes every row
+        for counts in (full, one_zero, many_zeros, np.zeros((3, 2 * n), dtype=np.int64), mixed):
+            assert_necklace_moments_match_the_labels_path(counts)
+    # blocks of one whole row each, and pieces of one row, with runs across them
+    for n in (5000, 9000):
+        counts = rng.poisson(2.0, size=(4, 2 * n))
+        counts[0] = rng.integers(1, 5, size=2 * n)
+        counts[1, :4000] = 0
+        counts[2, -4000:] = 0
+        assert_necklace_moments_match_the_labels_path(counts)
 
 
 def test_pt_large_default_m_same_on_counts_and_string():
@@ -253,6 +290,14 @@ def test_sample_exact_point_mass_and_zero():
     s = sample_exact(pair, 5, seed=0)
     assert s.counts[0] == 5 and s.total == 5
     assert sample_exact(pair, 0, seed=0).total == 0
+    assert np.array_equal(sample_exact(pair, 5.0, seed=0).counts, s.counts)
+
+
+@pytest.mark.parametrize("m", [2.5, True, -1, math.nan, math.inf, "5"])
+def test_sample_exact_m_must_be_a_whole_number(m):
+    # 2.5 drew 2 points, and True drew 1
+    with pytest.raises(ValueError, match="whole number"):
+        sample_exact(uniform_pair(4), m, seed=0)
 
 
 def test_sample_exact_uniform_frequencies():

@@ -13,7 +13,7 @@ import pytest
 
 from paritylab.cli import build_parser, main
 from paritylab.collector import CCTesterConfig
-from paritylab.core import sample_poissonized
+from paritylab.core import parity_trace, sample_exact, sample_poissonized, uniform_pair
 from paritylab.deletion import uniform_block_string
 from paritylab.editdist import DensitySequence, tv_distance, uniform_density
 from paritylab.harness import (
@@ -423,6 +423,19 @@ def test_cli_m_that_is_not_finite_and_positive_exits_2(tmp_path, capsys, args, p
     assert main(["test", *args, "--trace", str(tfile), "--eps", "0.3", "--m", m]) == 2
     out = capsys.readouterr()
     assert out.out == "" and "m must be finite and positive" in out.err
+
+
+@pytest.mark.parametrize("m", ["2.5", "-1", "nan", "inf"])
+def test_cli_sample_m_that_is_not_a_whole_number_exits_2(tmp_path, capsys, m):
+    # --m 2.5 without --poisson printed a trace of 2 symbols and exited 0
+    dist = tmp_path / "d.json"
+    dist.write_text(json.dumps({"n": 4, "p": [1 / 8] * 4, "q": [1 / 8] * 4}))
+    assert main(["sample", str(dist), "--m", m]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "whole number" in out.err
+    assert main(["sample", str(dist), "--m", "400", "--seed", "3"]) == 0
+    trace = capsys.readouterr().out.strip()
+    assert trace == parity_trace(sample_exact(uniform_pair(4), 400, 3))
 
 
 def test_cli_instance_and_errors(tmp_path):
