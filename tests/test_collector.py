@@ -78,7 +78,12 @@ def test_confused_trials_memory_is_bounded_by_the_chunk():
     # chunks hold about _CHUNK_CELLS cells; one chunk of 20000 trials at n=256 held 162 MiB
     g = BaseGraph("cycle", 256)
     p = np.full(256, 1 / 256)
-    confused_trials(p, 512.0, g, 0.5, 10, seed=1)  # first-call allocations stay untraced
+    # first-call allocations stay untraced, and so does the filling of CPython's
+    # tuple free list: numpy's Poisson draws with an array rate, one per block,
+    # take about 2000 two-tuples from it, about 100 KB, before it stays full.
+    # Filled within the traced calls it read as 8% growth from 2000 to 20000
+    # trials, on a chunk overhead of under 400 KB
+    confused_trials(p, 512.0, g, 0.5, 80000, seed=1)
     extra = []
     for trials in (2000, 20000):
         tracemalloc.start()
