@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .core import (PartialDistribution, PartialDistributionPair, _ascii_codes, _check_epsilon,
-                   _check_size, _split_poisson, parse_bits)
+                   _check_positive, _check_size, _finite, _split_poisson, parse_bits)
 from .editdist import DensitySequence, dist_to_nblock, psi, psi_inv
 from .parity import PTTesterConfig, test_uniformity_pt
 from .rng import generator
@@ -62,9 +62,11 @@ class TraceTestSpec:
         ):
             raise ValueError("unknown property")
         _check_size(self.n_blocks, "n_blocks", 1)
+        _check_size(self.n_chars, "n_chars", 1)
+        _check_positive(self.concat_eps_scale, "concat_eps_scale")
         if self.property_name.startswith("uniform"):
-            if self.n_chars < 1 or self.n_chars % self.n_blocks != 0:
-                raise ValueError("uniform block properties need n_chars >= 1, n_blocks | n_chars")
+            if self.n_chars % self.n_blocks != 0:
+                raise ValueError("uniform block properties need n_blocks | n_chars")
             if self.n_blocks % 2 != 0:
                 raise ValueError("uniform block properties need an even block count")
 
@@ -102,8 +104,8 @@ def deletion_trace(x: str, rho: float, seed) -> str:
     takes about 2 us a call with a passed-in generator, against about 4.5
     us; building a Philox generator from a seed costs 11-14 us more.
     """
-    if not (0 < rho <= 1):
-        raise ValueError("rho must lie in (0,1]")
+    if isinstance(rho, bool) or not (0 < rho <= 1):
+        raise ValueError(f"rho must lie in (0,1], got {rho!r}")
     if not x:
         return ""
     codes = _ascii_codes(x)
@@ -116,9 +118,10 @@ def deletion_trace(x: str, rho: float, seed) -> str:
 
 
 @functools.lru_cache(maxsize=64)
-def _zero_truncated_thresholds(lam: float) -> tuple[float, tuple[float, ...], tuple[int, ...]]:
-    """(c, cum, counts): the inverse-transform table of Poisson(lam) conditioned
-    on being positive.
+def _zero_truncated_thresholds(lam: float) -> tuple[float, tuple[float, ...], tuple[int, ...],
+                                                   np.ndarray, np.ndarray]:
+    """(c, cum, counts, cum_array, counts_array): the inverse-transform table of
+    Poisson(lam) conditioned on being positive.
 
     Sequential search (Devroye 1986, X.3): a uniform u maps to v = u*c, with
     c = P[X > 0] = -expm1(-lam), and the count is counts[i] for the first i
@@ -126,7 +129,8 @@ def _zero_truncated_thresholds(lam: float) -> tuple[float, tuple[float, ...], tu
     where adding P[X = k] no longer changes the sum (past the mode the terms
     only shrink, so no later one would); that is 16 thresholds at
     lam = log 2.  A v above every threshold, which only round-off in the last
-    ulp allows, gets the last count, the cap ceil(max(200, 20*lam)).
+    ulp allows, gets the last count, the cap ceil(max(200, 20*lam)).  The
+    tuples serve the Python bisection, the read-only arrays `np.searchsorted`.
     """
     cap = math.ceil(max(200, 20 * lam))
     term = lam * math.exp(-lam)  # P[X = 1]
@@ -137,7 +141,9 @@ def _zero_truncated_thresholds(lam: float) -> tuple[float, tuple[float, ...], tu
             break
         cum.append(cum[-1] + term)
     counts = (*range(1, len(cum) + 1), cap)
-    return float(-np.expm1(-lam)), tuple(cum), counts
+    cum_array, counts_array = np.array(cum), np.array(counts, dtype=np.int64)
+    cum_array.flags.writeable = counts_array.flags.writeable = False
+    return float(-np.expm1(-lam)), tuple(cum), counts, cum_array, counts_array
 
 
 def _zero_truncated_poisson(lam: float, size: int, rng) -> np.ndarray:
@@ -145,26 +151,48 @@ def _zero_truncated_poisson(lam: float, size: int, rng) -> np.ndarray:
 
     Each step of the search compares only the draws still above the
     threshold; as the thresholds never decrease, a draw that stopped stays
-    stopped.
+    stopped.  The steps go on while each stops at least half of the draws
+    that reach it, as at lam <= log 2; once most draws pass a threshold, as
+    near the mode of a large lam, one `np.searchsorted` places the rest, so
+    the number of numpy calls stops growing with lam.  At rho = 0.999 (38
+    thresholds, 2-vCPU VM, best of 15) that takes 48/64/100 draws from
+    26/27/30 us to 8.2/8.5/10.2 us; at rho = 0.5 and 32768 draws, and at
+    lam = 0.016 and 1000, the steps are the same as before and so is the time.
     """
-    c, cum, counts = _zero_truncated_thresholds(lam)
+    c, cum, counts, cum_array, counts_array = _zero_truncated_thresholds(lam)
     u = rng.random(size) * c
     out = np.ones(size, dtype=np.int64)
     idx = np.flatnonzero(u > cum[0])
-    for i in range(1, len(cum)):
-        if not idx.size:
-            break
+    reached, i = size, 1
+    while i < len(cum) and 0 < 2 * idx.size <= reached:
         out[idx] = counts[i]
-        idx = idx[u[idx] > cum[i]]
-    out[idx] = counts[-1]
+        reached, idx = idx.size, idx[u[idx] > cum[i]]
+        i += 1
+    if idx.size:
+        # bisect_left's threshold, or past the last one the cap
+        out[idx] = counts_array[np.searchsorted(cum_array, u[idx])]
     return out
 
 
 def _zero_truncated_poisson_list(lam: float, size: int, rng) -> list[int]:
     """The draws of `_zero_truncated_poisson` as a list, searched in Python:
     bisection finds the same first threshold at or above v."""
-    c, cum, counts = _zero_truncated_thresholds(lam)
+    c, cum, counts, _, _ = _zero_truncated_thresholds(lam)
     return [counts[bisect_left(cum, u * c)] for u in rng.random(size).tolist()]
+
+
+# From this many characters up, `poissonize` repeats each run once by the sum
+# of its counts when the trace has at most one run per 16 characters; the
+# string is the same as from repeating each character.  Fitted on traces of
+# equal runs with Poisson>0 counts at rho in {0.1, 0.5, 0.9} (2-vCPU VM, best
+# of 9): at every such rho the run totals pay from 8192 characters at 16 a run
+# and from 4096 at 24 a run; at 4096 and 16 a run they cost 11.7 against
+# 14.8 us at rho = 0.5 and 12.0 against 11.2 us at rho = 0.1, and at 2048 they
+# pay only from 256 a run.  Counting the runs first costs 1-5 us.  On perfbench
+# desk_large's traces (32.8k characters, 64 runs) they take about 22 against
+# 200 us; a random 32768-character trace (16k runs) would take 430 against 200.
+_RUN_TOTALS_MIN_CHARS = 4096
+_RUN_TOTALS_CHARS_PER_RUN = 16
 
 
 def poissonize(trace: str, rho: float, seed) -> str:
@@ -177,7 +205,10 @@ def poissonize(trace: str, rho: float, seed) -> str:
     `str` repetition, otherwise from `_zero_truncated_poisson` and
     `np.repeat`; both paths take the same draws and return the same string.
     On traces of criterion 10's strings the Python path takes about 3.5 us
-    a call with a passed-in generator, against about 9.5 us.
+    a call with a passed-in generator, against about 9.5 us.  The copies of
+    a run depend only on its symbol and the sum of its counts, so a trace
+    of at least `_RUN_TOTALS_MIN_CHARS` characters and at most one run per
+    `_RUN_TOTALS_CHARS_PER_RUN` repeats each run once by that sum.
     """
     if not (0 < rho < 1):
         raise ValueError("poissonize needs rho strictly inside (0,1)")
@@ -189,8 +220,16 @@ def poissonize(trace: str, rho: float, seed) -> str:
     if len(trace) < _SHORT_TRACE:
         counts = _zero_truncated_poisson_list(lam, len(trace), rng)
         return "".join([ch * k for ch, k in zip(trace, counts)])
+    symbols = np.frombuffer(codes, dtype=np.uint8)
     reps = _zero_truncated_poisson(lam, len(trace), rng)
-    return np.repeat(np.frombuffer(codes, dtype=np.uint8), reps).tobytes().decode("ascii")
+    if len(trace) >= _RUN_TOTALS_MIN_CHARS:
+        starts = np.empty(len(trace), dtype=np.bool_)
+        starts[0] = True
+        np.not_equal(symbols[1:], symbols[:-1], out=starts[1:])
+        if _RUN_TOTALS_CHARS_PER_RUN * np.count_nonzero(starts) <= len(trace):
+            at = np.flatnonzero(starts)
+            symbols, reps = symbols[at], np.add.reduceat(reps, at)
+    return np.repeat(symbols, reps).tobytes().decode("ascii")
 
 
 def split_traces(pi: DensitySequence, n_chars: int, k: int, rho: float,
@@ -268,7 +307,7 @@ def learn_k_alternating(sample, k: int) -> LearnedAlternating:
     """
     _check_size(k, "k", 0)
     pairs = list(sample)
-    positions = np.asarray([p for p, _ in pairs], dtype=np.float64)
+    positions = _finite([p for p, _ in pairs], "positions", (len(pairs),))
     if np.any(np.diff(positions) < 0):
         raise ValueError("sample must be sorted by position")
     bits = np.asarray([b for _, b in pairs])

@@ -34,7 +34,8 @@ from paritylab.parity import test_uniformity_pt as pt_verdict
 
 
 def test_channel_validation():
-    for rho in (0.0, 1.5):
+    # True used to run as rho = 1, while TraceTestSpec(rho=True) raised
+    for rho in (0.0, 1.5, True):
         with pytest.raises(ValueError, match="rho"):
             deletion_trace("1100101", rho, 0)
 
@@ -126,8 +127,8 @@ def _zero_truncated_poisson_loop(lam, size, rng):
     return out
 
 
-@pytest.mark.parametrize("lam", [0.046, math.log(2), 3.0, 25.0])
-@pytest.mark.parametrize("size", [0, 1, 8, 32768])
+@pytest.mark.parametrize("lam", [0.046, math.log(2), 3.0, 25.0, -math.log(0.001)])
+@pytest.mark.parametrize("size", [0, 1, 8, 48, 100, 32768])
 def test_zero_truncated_poisson_matches_loop(lam, size):
     # the numpy search and the short path's list search alike
     for seed in range(3):
@@ -207,6 +208,41 @@ def test_short_and_numpy_paths_raise_alike(monkeypatch, channel, x):
 
     numpy_side, python_side = _on_both_paths(monkeypatch, call)
     assert numpy_side == python_side
+
+
+def _traces_around_the_run_totals_rule():
+    """Block, random and alternating traces on both sides of the length floor
+    and of the run-count rule."""
+    floor, per_run = deletion._RUN_TOTALS_MIN_CHARS, deletion._RUN_TOTALS_CHARS_PER_RUN
+    rng = np.random.default_rng(1702)
+    traces = {}
+    for length in (floor - 1, floor, 2 * floor):
+        for runs in (4, length // per_run, length // per_run + 1):
+            traces[f"blocks {length}/{runs}"] = _block_string(length, runs, rng)
+        traces[f"random {length}"] = "".join(rng.choice(["0", "1"], size=length).tolist())
+        traces[f"alternating {length}"] = ("10" * length)[:length]
+    traces["blocks 1000/16"] = _block_string(1000, 16, rng)
+    return traces
+
+
+@pytest.mark.parametrize("rho", [0.1, 0.5, 0.9, 0.999])
+def test_run_totals_match_the_per_character_repeat(monkeypatch, rho):
+    # one np.repeat over runs by their summed counts gives the per-character string,
+    # from the same draws; a passed-in generator is left at the same next draw
+    lam = math.log(1 / (1 - rho))
+    for label, trace in _traces_around_the_run_totals_rule().items():
+        want_rng = np.random.default_rng([1703, len(trace)])
+        reps = _zero_truncated_poisson(lam, len(trace), want_rng)
+        want = np.repeat(np.frombuffer(trace.encode(), np.uint8), reps).tobytes().decode()
+        want_next = want_rng.random()
+        # the shipped rule, then run totals never, then always
+        for floor, per_run in ((deletion._RUN_TOTALS_MIN_CHARS,
+                                deletion._RUN_TOTALS_CHARS_PER_RUN), (10**9, 1), (0, 0)):
+            monkeypatch.setattr(deletion, "_RUN_TOTALS_MIN_CHARS", floor)
+            monkeypatch.setattr(deletion, "_RUN_TOTALS_CHARS_PER_RUN", per_run)
+            got_rng = np.random.default_rng([1703, len(trace)])
+            assert poissonize(trace, rho, got_rng) == want, (label, floor)
+            assert got_rng.random() == want_next, (label, floor)
 
 
 def run_histogram(traces):
@@ -325,6 +361,13 @@ def test_learner_consistent_sample_and_majority():
     maj = learn_k_alternating([(0, 1), (1, 0), (2, 1), (3, 1)], 0)
     assert maj.error == 1  # best constant function
     assert maj.n_alternations == 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_learner_rejects_non_finite_positions(bad):
+    # a NaN position used to give cut_after=[nan]
+    with pytest.raises(ValueError, match="positions"):
+        learn_k_alternating([(0, 1), (bad, 0)], 1)
 
 
 def test_learner_requires_sorted_positions():
@@ -628,8 +671,9 @@ def test_spec_validation():
         TraceTestSpec(n_chars=4096, n_blocks=0, epsilon=0.4, rho=0.1, property_name="n_block")
     with pytest.raises(ValueError, match="n_chars"):
         TraceTestSpec(n_chars=0, n_blocks=16, epsilon=0.4, rho=0.1)
-    TraceTestSpec(n_chars=0, n_blocks=16, epsilon=0.4, rho=0.1,
-                  property_name="n_block")  # the block-count tester never reads n_chars
+    with pytest.raises(ValueError, match="n_chars"):
+        # the block-count tester never reads n_chars, but a spec's sizes are checked alike
+        TraceTestSpec(n_chars=0, n_blocks=16, epsilon=0.4, rho=0.1, property_name="n_block")
     # each rho used to construct a spec: test_uniform_n_block("", spec) then accepted an
     # "empty sample", and a non-empty trace failed only inside poissonize
     for rho in (1.5, 1.0, 0.0, -0.2, math.nan):
@@ -637,6 +681,18 @@ def test_spec_validation():
             with pytest.raises(ValueError, match="rho must lie in"):
                 TraceTestSpec(n_chars=4096, n_blocks=16, epsilon=0.4, rho=rho,
                               property_name=prop)
+
+
+@pytest.mark.parametrize("field,value", [("n_chars", 64.0), ("n_chars", True), ("n_chars", -5),
+                                         ("concat_eps_scale", math.nan),
+                                         ("concat_eps_scale", 0.0), ("concat_eps_scale", math.inf)])
+def test_spec_rejects_a_size_or_scale_out_of_range(field, value):
+    # each used to construct, for n_block at least: only the uniform properties read n_chars
+    for prop in ("n_block", "uniform_n_block", "uniform_n_block_promised"):
+        kwargs = {"n_chars": 4096, "n_blocks": 16, "epsilon": 0.4, "rho": 0.5,
+                  "property_name": prop, field: value}
+        with pytest.raises(ValueError, match=field):
+            TraceTestSpec(**kwargs)
 
 
 @pytest.mark.parametrize("epsilon", [0.0, -0.3, math.nan, math.inf, 2.5])
