@@ -6,9 +6,13 @@ dominate the runtime of the test suites.  Each kernel has one
 implementation in numpy, except the edit distance, which has two exact
 paths: a bit-parallel DP over Python ints, and a DP over pairs of runs
 that wins on block strings of few long runs (at N=16384, below about 64
-runs per string; at N=1024, below about 8).  `levenshtein` picks one by a
-cost rule on the lengths and run counts.  `bit_runs` is the one run
-extractor.  `interval_scan` reads an (n, n) table of interval masses as
+runs per string; at N=1024, below about 8).  The run DP skips every pair
+of runs outside the diagonal band that holds each alignment of cost <= t:
+one pass with t from the lengths and the longest run, and a second with t
+set to the first one's result when that exceeds t.  `levenshtein` picks a
+path by a cost rule on the lengths and run counts, which prices the run DP
+unbanded, so the band moves no input off its path.  `bit_runs` is the one
+run extractor.  `interval_scan` reads an (n, n) table of interval masses as
 sliding windows of prefix sums; from n=320 on it bounds wide bands of
 interval lengths once over the whole table, halves only the bands whose
 bound reaches an exact floor, and reads the narrow ones left, which saves
@@ -21,6 +25,9 @@ callers: the DPs in the edit oracles, the scan in the conjugate oracles, and
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -184,7 +191,11 @@ def bit_runs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # strings of N in {256, ..., 16384} characters and K in {2, ..., 128} runs.
 # Bit-parallel: per character of the longer string, a fixed cost plus one per
 # 64-bit word of the shorter.  Runs: per pair of runs, a fixed cost plus one
-# per boundary cell of the pair's rectangle.
+# per boundary cell of the pair's rectangle.  It prices every pair, as the
+# run DP did before it was banded; a banded pass fills at most those pairs, so
+# the band moves no input off its path.  Two passes can still take longer than
+# one unbanded: on 42 random psi pairs they took 0.22-1.19 of its time, the
+# most at d/N = 0.5.
 _BIT_CHAR_NS, _BIT_WORD_NS = 900, 23
 _RUN_PAIR_NS, _RUN_CELL_NS = 12_000, 20
 
@@ -193,11 +204,13 @@ def levenshtein(a: np.ndarray, b: np.ndarray) -> int:
     """Unit-cost edit distance between two 0/1 arrays.
 
     Two exact paths: the bit-parallel DP over characters, and a DP over
-    pairs of runs.  The cost model above picks the cheaper from the lengths
-    and run counts alone.  Strings whose bit-parallel cost is under 0.1 ms
-    skip counting runs; random strings (runs of about two characters) stay
-    bit-parallel, and block strings with few long runs, such as the psi
-    strings of distributions with a few dozen values, take the run path.
+    pairs of runs in at most two banded passes (`_levenshtein_runs`).  The
+    cost model above, which prices the run DP unbanded, picks the cheaper
+    from the lengths and run counts alone.  Strings whose bit-parallel cost
+    is under 0.1 ms skip counting runs; random strings (runs of about two
+    characters) stay bit-parallel, and block strings with few long runs,
+    such as the psi strings of distributions with a few dozen values, take
+    the run path.
     """
     a = np.asarray(a, dtype=np.uint8)
     b = np.asarray(b, dtype=np.uint8)
@@ -276,11 +289,66 @@ def _cone(out: np.ndarray, suffix: np.ndarray, ramp: np.ndarray) -> None:
 
 
 def _levenshtein_runs(a_values, a_lengths, b_values, b_lengths) -> int:
-    """Edit distance of two run-length encoded strings, exact.
+    """Edit distance of two run-length encoded strings, exact, in at most two
+    banded passes of `_levenshtein_band`.
+
+    A pass with cost bound t returns r >= d, and r = d when d <= t (see
+    there).  The first bound, |N - M| plus twice the longest run, covers an
+    alignment of the psi strings of two nearby distributions: if r <= t it
+    is the distance, and otherwise a second pass with t = r is exact.
+    """
+    t = abs(sum(a_lengths) - sum(b_lengths)) + 2 * max(max(a_lengths), max(b_lengths))
+    r = _levenshtein_band(a_values, a_lengths, b_values, b_lengths, t)
+    return r if r <= t else _levenshtein_band(a_values, a_lengths, b_values, b_lengths, r)
+
+
+def _levenshtein_band(a_values, a_lengths, b_values, b_lengths, t: int) -> int:
+    """The DP over pairs of runs, skipping every pair outside the band of cost t.
 
     The DP table splits into one rectangle per pair of runs (Arbell, Landau
-    & Mitchell, IPL 83(6), 2002).  A rectangle's bottom row and right column
-    follow from its top row T and left column L, which share the corner:
+    & Mitchell, IPL 83(6), 2002), which `_run_rectangle` fills.  A cell
+    (i, j), on diagonal x = i - j, costs at least |x| to reach and
+    |(N - M) - x| to leave, so an alignment of cost <= t stays in the band
+    |x| + |(N - M) - x| <= t (Ukkonen, Information and Control 64, 1985).
+    The run pairs of a row of rectangles whose closed cell range meets the
+    band are consecutive; the others are skipped, and their bottom rows and
+    right columns read _INF.  Every value is still the cost of some
+    alignment or at least _INF, so the result is >= d, and the cells of an
+    optimal alignment of cost <= t get their exact values, so it is d then.
+    With t >= |N - M| the band holds an alignment and the result is finite.
+
+    Work is O(K_a K_b) numpy calls over O(K_a M + K_b N) cells at most, for
+    K_a, K_b runs of lengths N, M.  Rows of rectangles sweep the runs of
+    `a`; `row` holds the DP row at the bottom of the last one.
+    """
+    n, m = sum(a_lengths), sum(b_lengths)
+    lo, hi = -((t - (n - m)) // 2), (t + n - m) // 2  # the band's diagonals
+    starts = list(accumulate(b_lengths, initial=0))  # first column of each run of b
+    ramp = np.arange(max(n, m) + 1, dtype=np.int64)
+    row = ramp[:m + 1]
+    i0 = 0
+    for sym_a, h in zip(a_values, a_lengths):
+        # run pair (., k) spans diagonals i0 - starts[k+1] .. i0 + h - starts[k]
+        first = max(bisect_left(starts, i0 - hi), 1) - 1
+        stop = min(bisect_right(starts, i0 + h - lo), len(b_lengths))
+        below = np.full(m + 1, _INF)
+        below[0] = i0 + h
+        # column 0 holds i deletions; the right column of a skipped pair reads _INF
+        left = ramp[i0:i0 + h + 1] if first == 0 else np.full(h + 1, _INF)
+        j0 = starts[first]
+        for sym_b, w in zip(b_values[first:stop], b_lengths[first:stop]):
+            left = _run_rectangle(sym_a == sym_b, row[j0:j0 + w + 1], left,
+                                  below[j0:j0 + w + 1], ramp)
+            j0 += w
+        row = below
+        i0 += h
+    return int(row[m])
+
+
+def _run_rectangle(same: bool, top: np.ndarray, left: np.ndarray, bottom: np.ndarray,
+                   ramp: np.ndarray) -> np.ndarray:
+    """Fill bottom[1:] of the rectangle of one pair of runs and return its right
+    column, from its top row T and left column L, which share the corner.
 
     * same symbol: every cell equals its diagonal predecessor, so the
       outputs are T and L read along diagonals;
@@ -290,47 +358,26 @@ def _levenshtein_runs(a_values, a_lengths, b_values, b_lengths) -> int:
       columns, bottom[b] = min(h + min T[b-h..b], b + min L[h-b..h]) and
       right[a] = min(w + min L[a-w..a], a + min T[w-a..w]): a sliding-window
       minimum and a suffix minimum per side.
-
-    Work is O(K_a K_b) numpy calls over O(K_a M + K_b N) cells, for K_a, K_b
-    runs of lengths N, M.  Rows of rectangles sweep the runs of `a`; `row`
-    holds the DP row at the bottom of the last one.
     """
-    n, m = sum(a_lengths), sum(b_lengths)
-    ramp = np.arange(max(n, m) + 1, dtype=np.int64)
-    row = ramp[:m + 1]
-    i0 = 0
-    for sym_a, h in zip(a_values, a_lengths):
-        left = ramp[i0:i0 + h + 1]  # column 0: i deletions
-        below = np.empty(m + 1, dtype=np.int64)
-        below[0] = i0 + h
-        j0 = 0
-        for sym_b, w in zip(b_values, b_lengths):
-            top = row[j0:j0 + w + 1]
-            bottom = below[j0:j0 + w + 1]  # bottom[0] is already set
-            if sym_a == sym_b:
-                # diagonals: bottom[b] = left[h-b] or top[b-h]; right[a] = top[w-a] or left[a-w]
-                if w <= h:
-                    bottom[1:] = left[h - w:h][::-1]
-                    right = np.concatenate((top[::-1], left[1:h - w + 1]))
-                else:
-                    bottom[1:h + 1] = left[:h][::-1]
-                    bottom[h + 1:] = top[1:w - h + 1]
-                    right = top[w - h:][::-1]
-            else:
-                suffix_left = np.minimum.accumulate(left[::-1])  # min(left[h-t:])
-                suffix_top = np.minimum.accumulate(top[::-1])  # min(top[w-t:])
-                out = _window_min(top, h + 1)
-                out += h
-                _cone(out, suffix_left, ramp)
-                bottom[1:] = out[1:]
-                right = _window_min(left, w + 1)
-                right += w
-                _cone(right, suffix_top, ramp)
-            left = right
-            j0 += w
-        row = below
-        i0 += h
-    return int(row[m])
+    h, w = left.size - 1, top.size - 1
+    if same:
+        # diagonals: bottom[b] = left[h-b] or top[b-h]; right[a] = top[w-a] or left[a-w]
+        if w <= h:
+            bottom[1:] = left[h - w:h][::-1]
+            return np.concatenate((top[::-1], left[1:h - w + 1]))
+        bottom[1:h + 1] = left[:h][::-1]
+        bottom[h + 1:] = top[1:w - h + 1]
+        return top[w - h:][::-1]
+    suffix_left = np.minimum.accumulate(left[::-1])  # min(left[h-t:])
+    suffix_top = np.minimum.accumulate(top[::-1])  # min(top[w-t:])
+    out = _window_min(top, h + 1)
+    out += h
+    _cone(out, suffix_left, ramp)
+    bottom[1:] = out[1:]
+    right = _window_min(left, w + 1)
+    right += w
+    _cone(right, suffix_top, ramp)
+    return right
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,7 @@ class TraceTestSpec:
             raise ValueError("unknown property")
         _check_size(self.n_blocks, "n_blocks", 1)
         _check_size(self.n_chars, "n_chars", 1)
+        _check_size(self.k_traces, "k_traces", 1)
         _check_positive(self.concat_eps_scale, "concat_eps_scale")
         if self.property_name.startswith("uniform"):
             if self.n_chars % self.n_blocks != 0:

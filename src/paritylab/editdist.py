@@ -118,6 +118,7 @@ def str_of(pi: DensitySequence) -> FractionalString:
 
 def psi(pi: DensitySequence, n_chars: int) -> BlockString:
     """Blow the density sequence up into a binary string of length n_chars."""
+    _check_size(n_chars, "n_chars", 1)
     return BlockString(parity_trace(SampleMultiset(pi.exact_counts(n_chars))))
 
 
@@ -176,6 +177,7 @@ def dist_edit_bounds(pi: DensitySequence, pi2: DensitySequence,
 
 def uniform_density(k: int) -> DensitySequence:
     """Uniform distribution on {1..k} as a density sequence."""
+    _check_size(k, "k", 1)
     return DensitySequence.from_counts(np.ones(k, dtype=np.int64), k)
 
 

@@ -684,7 +684,8 @@ def test_spec_validation():
 
 
 @pytest.mark.parametrize("field,value", [("n_chars", 64.0), ("n_chars", True), ("n_chars", -5),
-                                         ("concat_eps_scale", math.nan),
+                                         ("k_traces", -3), ("k_traces", 2.5), ("k_traces", 0),
+                                         ("k_traces", True), ("concat_eps_scale", math.nan),
                                          ("concat_eps_scale", 0.0), ("concat_eps_scale", math.inf)])
 def test_spec_rejects_a_size_or_scale_out_of_range(field, value):
     # each used to construct, for n_block at least: only the uniform properties read n_chars

@@ -186,6 +186,89 @@ def test_edit_bounds_at_16384_take_the_run_path_and_match_bit_parallel(monkeypat
     assert len(calls) == 2
 
 
+def _spy_passes(monkeypatch) -> list:
+    """(bound, result) of every banded pass that `_levenshtein_runs` runs from now on."""
+    passes = []
+    band = _kernels._levenshtein_band
+
+    def spy(*args):
+        passes.append((args[-1], band(*args)))
+        return passes[-1][1]
+
+    monkeypatch.setattr(_kernels, "_levenshtein_band", spy)
+    return passes
+
+
+def _blocks(lengths, first: int = 0) -> str:
+    return "".join(str((first + i) % 2) * w for i, w in enumerate(lengths))
+
+
+# (a, b, results of the passes)
+BAND_CASES = {
+    "one_pass": (_blocks([3, 4, 5] * 10), _blocks([4, 3, 5] * 10), [10]),
+    "two_passes": (_blocks([30] * 10), _blocks([10] * 30, 1), [120, 120]),
+    "second_pass_lowers": (
+        _blocks([2, 16, 4, 14, 16, 13, 11, 11, 13, 5, 6, 11, 3, 10, 2, 15, 6, 6, 6, 5, 5]),
+        _blocks([9, 9, 9, 5, 2, 4, 7, 13, 15, 8, 6, 11, 14, 1, 11, 14, 14, 11, 14, 6]), [67, 66]),
+    "a_longer": (_blocks([7] * 40), _blocks([5] * 40, 1), [88]),
+    "b_longer": (_blocks([5] * 40, 1), _blocks([7] * 40), [88]),
+    "a_one_run": ("0" * 300, _blocks([9, 20, 3, 40, 11, 50]), [277]),
+    "b_one_run": (_blocks([9, 20, 3, 40, 11, 50]), "1" * 300, [190]),
+    "half_apart": (_blocks([10] * 24), _blocks([20] * 12), [120, 120]),  # d/N = 0.5
+}
+
+
+@pytest.mark.parametrize("case", BAND_CASES)
+def test_banded_run_distance_matches_bit_parallel(monkeypatch, case):
+    a, b, results = BAND_CASES[case]
+    passes = _spy_passes(monkeypatch)
+    long, short = sorted((_arr(a), _arr(b)), key=len, reverse=True)
+    assert _kernels._levenshtein_runs(*_runs_of(a), *_runs_of(b)) \
+        == _kernels._levenshtein_bits(long, short) == results[-1]
+    assert [r for _, r in passes] == results
+    # pass 1's bound is |N - M| plus twice the longest run; a second pass takes its result
+    t0 = abs(len(a) - len(b)) + 2 * max(max(_runs_of(x)[1]) for x in (a, b))
+    assert [t for t, _ in passes] == [t0, results[0]][:len(results)]
+    assert (results[0] <= t0) == (len(results) == 1)
+
+
+def test_desk_large_edit_pair_takes_one_pass_over_a_third_of_its_run_pairs(monkeypatch):
+    # the psi strings of perfbench's desk_large edit input at seed 1, 17 and 18 runs
+    rng = np.random.default_rng(1)
+    n = 16384
+    k1, k2 = (int(k) for k in rng.integers(4, 33, size=2))
+    counts = [rng.multinomial(n, np.full(k, 1 / k)) for k in (k1, k2)]
+    a, b = (_arr(psi(DensitySequence.from_counts(c, n), n).bits) for c in counts)
+    passes = _spy_passes(monkeypatch)
+    filled = []
+    rectangle = _kernels._run_rectangle
+    monkeypatch.setattr(_kernels, "_run_rectangle", lambda *args: filled.append(1) or rectangle(*args))
+    assert levenshtein(a, b) == _kernels._levenshtein_bits(a, b) == 1875
+    assert (k1, k2) == (17, 18) and len(passes) == 1
+    assert 3 * len(filled) <= k1 * k2
+
+
+@pytest.mark.parametrize("n_chars", [0, -4, 2.5, True])
+def test_psi_and_edit_bounds_check_n_chars(n_chars):
+    # n_chars=0 gave (0.0, 0.0) for two distributions at TV 0.25
+    a, b = DensitySequence(np.array([0.5, 0.5])), DensitySequence(np.array([0.75, 0.25]))
+    with pytest.raises(ValueError, match="n_chars"):
+        psi(a, n_chars)
+    with pytest.raises(ValueError, match="n_chars"):
+        dist_edit_bounds(a, b, n_chars)
+    with pytest.raises(ValueError, match="n_chars"):
+        dist_to_uniform(a, 2, metric="edit_bounds", n_chars=n_chars)
+
+
+@pytest.mark.parametrize("k", [0, -1, 2.5, True])
+def test_uniform_density_checks_k(k):
+    # 2.5 and True raised a numpy TypeError, -1 "negative dimensions are not allowed"
+    with pytest.raises(ValueError, match="k must be an integer"):
+        uniform_density(k)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        dist_to_uniform(DensitySequence(np.array([0.5, 0.5])), k)
+
+
 def test_edit_distances_reject_non_binary_strings():
     with pytest.raises(ValueError):
         string_edit_distance("0120", "01")

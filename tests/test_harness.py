@@ -227,6 +227,17 @@ def test_cli_dist_schema(tmp_path):
     assert payload["metric"] == "edit" and payload["lower"] <= payload["upper"]
 
 
+@pytest.mark.parametrize("n", ["0", "-4"])
+def test_cli_dist_n_that_is_not_positive_exits_2(tmp_path, capsys, n):
+    # --N 0 printed {"lower": 0.0, "upper": 0.0} and exited 0; --N -4 named the counts
+    a, b = tmp_path / "a.dist", tmp_path / "b.dist"
+    a.write_text(json.dumps([0.5, 0.5]))
+    b.write_text(json.dumps([0.75, 0.25]))
+    assert main(["dist", str(a), str(b), "--N", n]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "n_chars must be an integer >= 1" in out.err
+
+
 def test_cli_experiment_csv(tmp_path):
     spec = {
         "schema": 1,
